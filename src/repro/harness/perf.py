@@ -714,7 +714,6 @@ def _run_net_point(spec: Any, label: str) -> Dict[str, Any]:
     return {
         "label": label,
         "driver_mode": spec.driver_mode,
-        "codec": spec.codec,
         "coalesce": spec.coalesce,
         "batching_ms": spec.batching_ms,
         "clients": spec.clients if spec.driver_mode == "open" else 1,
@@ -748,29 +747,25 @@ def measure_net_throughput(
     repeats: int = 2,
     run_timeout_s: float = 60.0,
 ) -> Dict[str, Any]:
-    """Wire-path throughput: PR-9 sequential/JSON config vs the overhaul.
+    """Wire-path throughput: the sequential driver vs the open-loop one.
 
     All points run the same topology as in-process clusters over real
-    localhost sockets:
+    localhost sockets and the one (binary) wire format:
 
     * **baseline** — the sequential driver (one outstanding message,
-      gated on its own delivery), canonical-JSON codec, one socket
-      write per frame, no batching: exactly the PR-9 wire path;
-    * **open-binary-cK** — the overhaul at each client count in
-      ``client_counts``: open-loop driver, binary codec, write
-      coalescing, and the §7.1 ack/bump batching layer at
-      ``batching_ms`` (closed loop: every window full from the start,
-      the saturation point);
-    * **open-json** — the largest client count with the JSON codec and
-      everything else identical, so the bytes/frame comparison is
-      measured at identical load.
+      gated on its own delivery), one socket write per frame, no
+      batching;
+    * **open-cK** — the open-loop driver at each client count in
+      ``client_counts`` with write coalescing and the §7.1 ack/bump
+      batching layer at ``batching_ms`` (closed loop: every window full
+      from the start, the saturation point).
 
     Each point runs ``repeats`` times keeping the best msgs/sec row —
     real sockets on a shared machine are noisy, and best-of mirrors the
-    wall-clock convention of the sim benches. Headline numbers:
-    ``speedup_vs_seq`` (best open-binary msgs/sec over the baseline;
-    acceptance bar >= 3x) and ``codec_bytes_ratio`` (JSON bytes/frame
-    over binary bytes/frame at the same load; acceptance bar >= 1.5x).
+    wall-clock convention of the sim benches. Headline number:
+    ``speedup_vs_seq`` (best open msgs/sec over the baseline). This is
+    a burst measurement (all windows fill at t=0); the steady-state,
+    layer-attributed numbers come from ``perfbench/run.py``.
     """
     from ..net.cluster import ClusterSpec
 
@@ -785,12 +780,7 @@ def measure_net_throughput(
         seed=seed,
         run_timeout_s=run_timeout_s,
     )
-    points = [
-        best_of(
-            ClusterSpec(codec="json", coalesce=False, **common),
-            "seq-json-nocoalesce",
-        )
-    ]
+    points = [best_of(ClusterSpec(coalesce=False, **common), "seq-nocoalesce")]
     for clients in client_counts:
         points.append(
             best_of(
@@ -798,42 +788,19 @@ def measure_net_throughput(
                     driver_mode="open",
                     clients=clients,
                     window=window,
-                    codec="binary",
                     coalesce=True,
                     batching_ms=batching_ms,
                     **common,
                 ),
-                f"open-binary-c{clients}",
+                f"open-c{clients}",
             )
         )
-    top = max(client_counts)
-    points.append(
-        best_of(
-            ClusterSpec(
-                driver_mode="open",
-                clients=top,
-                window=window,
-                codec="json",
-                coalesce=True,
-                batching_ms=batching_ms,
-                **common,
-            ),
-            f"open-json-c{top}",
-        )
-    )
 
     baseline = points[0]
-    open_binary = [p for p in points if p["codec"] == "binary"]
-    open_json = points[-1]
-    best = max(open_binary, key=lambda p: p["msgs_per_sec"])
+    best = max(points[1:], key=lambda p: p["msgs_per_sec"])
     speedup = (
         best["msgs_per_sec"] / baseline["msgs_per_sec"]
         if baseline["msgs_per_sec"]
-        else 0.0
-    )
-    bytes_ratio = (
-        open_json["bytes_per_frame"] / best["bytes_per_frame"]
-        if best["bytes_per_frame"]
         else 0.0
     )
     return {
@@ -852,9 +819,7 @@ def measure_net_throughput(
         "best_open_msgs_per_sec": best["msgs_per_sec"],
         "best_open_label": best["label"],
         "speedup_vs_seq": round(speedup, 2),
-        "bytes_per_frame_json": open_json["bytes_per_frame"],
-        "bytes_per_frame_binary": best["bytes_per_frame"],
-        "codec_bytes_ratio": round(bytes_ratio, 2),
+        "bytes_per_frame": best["bytes_per_frame"],
     }
 
 
@@ -868,7 +833,7 @@ def net_history_row(net: Dict[str, Any], note: str = "") -> Dict[str, Any]:
     from datetime import datetime, timezone
 
     best = max(
-        (p for p in net["points"] if p["codec"] == "binary"),
+        (p for p in net["points"] if p["driver_mode"] == "open"),
         key=lambda p: p["msgs_per_sec"],
     )
     return {
@@ -879,7 +844,6 @@ def net_history_row(net: Dict[str, Any], note: str = "") -> Dict[str, Any]:
         "p50_ms": best["p50_ms"],
         "p99_ms": best["p99_ms"],
         "speedup_vs_seq": net["speedup_vs_seq"],
-        "codec_bytes_ratio": net["codec_bytes_ratio"],
         "note": note,
     }
 
@@ -1035,8 +999,8 @@ def main(argv: Optional[list] = None) -> int:
         "--net",
         action="store_true",
         help="measure the net backend's wire-path throughput instead "
-        "(open-loop driver + binary codec + coalescing vs the "
-        "sequential/JSON baseline) and record it under the "
+        "(open-loop driver + coalescing + batching vs the "
+        "sequential baseline) and record it under the "
         "net_throughput key of BENCH_perf.json",
     )
     parser.add_argument(
@@ -1063,7 +1027,7 @@ def main(argv: Optional[list] = None) -> int:
                 )
             print(
                 f"{net['point']}: {net['speedup_vs_seq']:.2f}x vs sequential, "
-                f"binary {net['codec_bytes_ratio']:.2f}x smaller frames "
+                f"{net['bytes_per_frame']:.0f} B/frame "
                 f"({'OK' if net['all_ok'] else 'FAILED'})"
             )
         if args.append_history:

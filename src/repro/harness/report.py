@@ -140,8 +140,9 @@ def _sim_history_table(rows: List[Dict[str, Any]]) -> str:
 
 def _net_history_table(rows: List[Dict[str, Any]]) -> str:
     """The net-backend trajectory: throughput and latency of the best
-    open-loop/binary point plus its headline ratios (speedup over the
-    sequential/JSON baseline, JSON/binary frame-size ratio)."""
+    open-loop point plus its headline ratios (speedup over the
+    sequential baseline; the JSON/binary frame-size ratio of rows from
+    before the JSON wire format was removed, "—" after)."""
     lines = [
         "| When (UTC) | point | msgs/s | Δ msgs/s | p50 (ms) | p99 (ms) | vs seq | json/bin bytes | note |",
         "|---|---|---|---|---|---|---|---|---|",
@@ -155,7 +156,7 @@ def _net_history_table(rows: List[Dict[str, Any]]) -> str:
             delta = "—"
         prev_mps = mps
         lines.append(
-            "| {timestamp} | {point} | {mps:,.0f} | {delta} | {p50:.1f} | {p99:.1f} | {speedup:.2f}x | {ratio:.2f}x | {note} |".format(
+            "| {timestamp} | {point} | {mps:,.0f} | {delta} | {p50:.1f} | {p99:.1f} | {speedup:.2f}x | {ratio} | {note} |".format(
                 timestamp=row.get("timestamp", "?"),
                 point=row.get("point", "?"),
                 mps=mps,
@@ -163,7 +164,11 @@ def _net_history_table(rows: List[Dict[str, Any]]) -> str:
                 p50=row.get("p50_ms", 0.0),
                 p99=row.get("p99_ms", 0.0),
                 speedup=row.get("speedup_vs_seq", 0.0),
-                ratio=row.get("codec_bytes_ratio", 0.0),
+                ratio=(
+                    f"{row['codec_bytes_ratio']:.2f}x"
+                    if "codec_bytes_ratio" in row
+                    else "—"
+                ),
                 note=row.get("note", "") or "—",
             )
         )

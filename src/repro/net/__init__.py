@@ -6,8 +6,9 @@ asyncio TCP sockets with real wall clocks:
 * :mod:`repro.net.runtime` — the backend-agnostic seam
   (:class:`~repro.net.runtime.Runtime`, the ``SchedulerAPI`` /
   ``TransportAPI`` / ``LeaderOracle`` protocols) plus the sim adapter;
-* :mod:`repro.net.codec` — length-prefixed JSON framing for the wire
-  messages (lossless round trips, exhaustive registry);
+* :mod:`repro.net.codec` — length-prefixed binary frames with one
+  fixed layout per wire class and per-node multicast interning
+  (lossless, bit-stable round trips; exhaustive registry);
 * :mod:`repro.net.transport` — per-peer connection manager with
   reconnect + exponential backoff;
 * :mod:`repro.net.election` — heartbeat-based Ω;

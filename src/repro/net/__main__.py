@@ -49,10 +49,6 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
         help="startup grace before suspicion (default: suspect-ms)",
     )
     parser.add_argument(
-        "--codec", choices=("json", "binary"), default="json",
-        help="wire encoding (receivers auto-detect per frame)",
-    )
-    parser.add_argument(
         "--no-coalesce", action="store_true",
         help="one socket write per frame (PR-9 behaviour)",
     )
@@ -76,7 +72,6 @@ def _spec_from_args(args: argparse.Namespace, **overrides: object) -> ClusterSpe
         hb_interval_ms=args.hb_interval_ms,
         suspect_ms=args.suspect_ms,
         hb_grace_ms=args.grace_ms,
-        codec=args.codec,
         coalesce=not args.no_coalesce,
         batching_ms=args.batching_ms,
         run_timeout_s=args.timeout,
@@ -139,7 +134,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     print(
         f"differential check OK: {len(survivors)} nodes agree with the sim "
         f"reference on {n_msgs} messages{kill_note} "
-        f"(codec={spec.codec}, {result.wall_s:.1f}s)"
+        f"({result.wall_s:.1f}s)"
     )
     return 0
 
@@ -174,7 +169,7 @@ def cmd_open(args: argparse.Namespace) -> int:
     )
     print(
         f"statistical checks OK: 0 violations over {total} messages from "
-        f"{spec.clients} clients (codec={spec.codec}, window={spec.window}, "
+        f"{spec.clients} clients (window={spec.window}, "
         f"rate={args.rate or 'closed-loop'}, {result.wall_s:.1f}s)"
     )
     return 0

@@ -59,8 +59,9 @@ class ClusterSpec:
     suspect_ms: float = 500.0
     hb_grace_ms: Optional[float] = None
     run_timeout_s: float = 60.0
-    #: Wire encoding: "json" or "binary" (host.Topology.codec).
-    codec: str = "json"
+    #: The wire format. Binary is the only one; the field remains so
+    #: that specs naming it keep working, and any other value is refused.
+    codec: str = "binary"
     coalesce: bool = True
     batching_ms: float = 0.0
     #: "seq" (exact differential) or "open" (concurrent clients,
@@ -73,8 +74,8 @@ class ClusterSpec:
     def validate(self) -> None:
         if self.n_groups < 1 or self.group_size < 1:
             raise ValueError("need at least one group of at least one member")
-        if self.codec not in ("json", "binary"):
-            raise ValueError(f"unknown codec {self.codec!r}")
+        if self.codec != "binary":
+            raise ValueError(f"unknown codec {self.codec!r} (the wire format is binary)")
         if self.driver_mode not in ("seq", "open"):
             raise ValueError(f"unknown driver mode {self.driver_mode!r}")
         if self.driver_mode == "open":
@@ -130,7 +131,6 @@ def make_topology(spec: ClusterSpec, host: str = "127.0.0.1") -> Topology:
         suspect_ms=spec.suspect_ms,
         hb_grace_ms=spec.hb_grace_ms,
         run_timeout_s=spec.run_timeout_s,
-        codec=spec.codec,
         coalesce=spec.coalesce,
         batching_ms=spec.batching_ms,
         driver_mode=spec.driver_mode,

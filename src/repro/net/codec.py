@@ -1,57 +1,28 @@
-"""Wire codec: length-prefixed framing with a binary fast path.
+"""Wire codec: one binary format with fixed layouts and per-node interning.
 
-The simulator passes message *objects* between processes; the net
-backend must serialize them. Frames on a connection are::
+A frame is ``[u32 body length][u8 frame kind]`` plus a fixed layout:
+``HELLO`` (wire version, pid; first on every connection), ``HB`` (pid)
+or ``MSG`` (source pid + one message). A message is a class tag from
+:data:`CODECS`, the class's precompiled :class:`struct.Struct` head and
+its variable tail. Integers have fixed widths (pids and groups u16,
+epoch numbers u32, everything else i64); a value that does not fit
+raises :class:`CodecError`, never truncates. Only the application
+payload uses the generic, canonically sorted value encoding
+(:func:`encode_value`), so ``encode → decode → encode`` is bit-stable.
 
-    [4-byte big-endian length][body]
-
-The body comes in two self-describing formats, distinguished by its
-first byte:
-
-* **canonical JSON** — the body starts with ``{`` (canonical dicts:
-  sorted keys, no whitespace). This is the debugging/golden format: a
-  message's encoding is a deterministic function of its content, so the
-  round-trip tests compare canonical bytes instead of needing
-  ``__eq__`` on the slotted wire classes.
-* **binary** — the body starts with :data:`FRAME_BINARY` (``0x00``,
-  which canonical JSON can never produce), followed by a version byte
-  and a struct-packed payload. Same information, ~2-4x fewer bytes and
-  no JSON string building on the hot path. Every registered message
-  class has a binary encoder/decoder in :data:`BINARY_CODECS`; the
-  registry-exhaustiveness test fails when one is missing.
-
-Both formats round-trip through the same message registry, so a stream
-may mix them freely (the :class:`FrameDecoder` dispatches per frame) and
-``encode → decode → encode`` is bit-stable in either format.
-
-Layers:
-
-* **values** — :func:`encode_value` / :func:`decode_value` losslessly
-  round-trip the payload vocabulary: JSON scalars, lists, and tagged
-  forms for tuples, sets, frozensets, dicts (any encodable keys),
-  :class:`~repro.core.epoch.Epoch`,
-  :class:`~repro.core.messages.Multicast` and nested registered
-  messages. Tagged forms are dicts with a ``"__"`` discriminator, so a
-  *plain* dict is always encoded in tagged form too — nothing an
-  application payload contains can collide with the tag namespace.
-* **messages** — :data:`CODECS` maps each wire-message class to a
-  ``(tag, encode, decode)`` triple. Every class in
-  :mod:`repro.core.messages` (class-level ``kind``) plus the rmcast
-  frames (``Envelope`` / ``Batch``) must have an entry; the registry
-  test in ``tests/net/test_codec.py`` fails when a new message type is
-  added without one.
-
-The codec is intentionally JSON, not pickle: frames are inspectable on
-the wire, and decoding never executes arbitrary constructors — only the
-fixed registry (a frame from an untrusted peer can at worst build
-protocol messages).
+A multicast rides in its Start and in every Ack for it, so each node's
+transport owns an :class:`InternTable` that lets the node encode and
+decode each multicast once; it is never module-global, because nodes
+sharing an interpreter must still each do the work a separate process
+would. DESIGN.md §13 has the rationale.
 """
 
 from __future__ import annotations
 
-import json
 import struct
-from typing import Any, Callable, Dict, List, Tuple, Type
+from functools import lru_cache
+from struct import Struct
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..core.epoch import Epoch
 from ..core.messages import (
@@ -59,6 +30,7 @@ from ..core.messages import (
     AcceptEpoch,
     Bump,
     EpochPromise,
+    MessageId,
     Multicast,
     NewEpoch,
     NewState,
@@ -67,858 +39,583 @@ from ..core.messages import (
 from ..rmcast.fifo import Batch, Envelope
 
 #: Length-prefix format: unsigned 32-bit big-endian frame length.
-LEN_STRUCT = struct.Struct("!I")
+LEN_STRUCT = Struct("!I")
 
 #: Hard ceiling on a single frame (a corrupt length prefix must not ask
 #: the reader to buffer gigabytes).
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+
+#: Carried in every HELLO and bumped on any layout change: a peer with a
+#: different version is refused instead of misparsed.
+WIRE_VERSION = 2
+
+#: Entries per intern map. A few times the in-flight window hits as
+#: often as 4096 entries did; a bigger table only keeps payloads alive.
+INTERN_MAX = 256
+
+FRAME_HELLO, FRAME_HB, FRAME_MSG = 1, 2, 3
+
+#: One decoded frame: ``(frame kind, pid, message)``. The pid is the
+#: dialer (HELLO), the heartbeat sender (HB) or the message's source
+#: (MSG); the message is None except for MSG frames.
+Frame = Tuple[int, int, Any]
 
 
 class CodecError(ValueError):
     """A value or frame that cannot be encoded/decoded losslessly."""
 
 
-# ----------------------------------------------------------------------
-# value layer
-# ----------------------------------------------------------------------
+_U32, _I64, _F64 = Struct("!I"), Struct("!q"), Struct("!d")
+_HELLO = Struct("!BBH")  # kind, version, pid
+_HB = Struct("!BH")  # kind, pid
+_MSG_HEAD = Struct("!IBH")  # length prefix, kind, src pid
+_MSG_BODY = Struct("!BHB")  # kind, src pid, message class tag
+_MC = Struct("!HqHI")  # origin, seq, dest count, payload length
+_EPOCH = Struct("!IH")  # number, leader
+# "BIHq" is a delivered-prefix report: present flag, epoch, count.
+_ACK = Struct("!HIHqH" "BIHq")  # group, epoch, ts, sender, dp
+_BUMP = Struct("!IHqH" "BIHq")  # epoch, ts, sender, dp
+_PROMISE = Struct("!IHHqIHqI")  # epoch, sender, clock, e_cur, t_base, rows
+_NEW_STATE = Struct("!IHqqI")  # epoch, ts, t_base, rows
+_ACCEPT = Struct("!IHH")  # epoch, sender
+_T_ROW = Struct("!IHq")  # epoch, ts (the row's multicast follows)
+_ENVELOPE = Struct("!HqBH")  # origin, seq, relayed, dest count
+_BATCH = Struct("!H")  # envelope count
+#: An ack's head followed by its multicast's head, unpacked in one go.
+_ACK_MC = Struct(_ACK.format + _MC.format[1:])
+
+#: Envelope payload tag of a raw (non-message) payload, which follows as
+#: a u32 length + generic value. Message class tags start at 1.
+_RAW_PAYLOAD = 0
+
+#: Malformed input surfaces as one of these while decoding.
+_DECODE_ERRORS = (struct.error, IndexError, KeyError, TypeError, ValueError, UnicodeDecodeError)
 
 
-def _canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+@lru_cache(maxsize=64)
+def _u16s(n: int) -> Struct:
+    """The layout of ``n`` u16s (destination pids or gids)."""
+    return Struct("!%dH" % n)
 
 
-def encode_value(value: Any) -> Any:
-    """Encode an arbitrary payload value into JSON-safe form."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, list):
-        return [encode_value(v) for v in value]
-    cls = value.__class__
-    # Class-specific forms come before the generic tuple branch: Epoch
-    # is a NamedTuple and must not fall through to plain-tuple encoding.
-    if cls is Epoch:
-        return {"__": "ep", "n": value.number, "l": value.leader}
-    if cls is Multicast:
-        return {
-            "__": "mc",
-            "mid": encode_value(value.mid),
-            "dest": sorted(value.dest),
-            "p": encode_value(value.payload),
-        }
-    if isinstance(value, tuple):
-        return {"__": "t", "v": [encode_value(v) for v in value]}
-    if isinstance(value, frozenset):
-        items = sorted((encode_value(v) for v in value), key=_canonical)
-        return {"__": "fs", "v": items}
-    if isinstance(value, set):
-        items = sorted((encode_value(v) for v in value), key=_canonical)
-        return {"__": "s", "v": items}
-    if isinstance(value, dict):
-        pairs = sorted(
-            ([encode_value(k), encode_value(v)] for k, v in value.items()),
-            key=lambda kv: _canonical(kv[0]),
-        )
-        return {"__": "d", "v": pairs}
-    if cls in CODECS:
-        return {"__": "pm", "v": encode_message(value)}
-    raise CodecError(f"cannot encode {type(value).__name__}: {value!r}")
+# -- values (the application payload) -----------------------------------
 
-
-def decode_value(data: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if data is None or isinstance(data, (bool, int, float, str)):
-        return data
-    if isinstance(data, list):
-        return [decode_value(v) for v in data]
-    if isinstance(data, dict):
-        tag = data.get("__")
-        if tag == "t":
-            return tuple(decode_value(v) for v in data["v"])
-        if tag == "ep":
-            return Epoch(data["n"], data["l"])
-        if tag == "mc":
-            mid = decode_value(data["mid"])
-            return Multicast(
-                (mid[0], mid[1]), frozenset(data["dest"]), decode_value(data["p"])
-            )
-        if tag == "fs":
-            return frozenset(decode_value(v) for v in data["v"])
-        if tag == "s":
-            return {decode_value(v) for v in data["v"]}
-        if tag == "d":
-            return {decode_value(k): decode_value(v) for k, v in data["v"]}
-        if tag == "pm":
-            return decode_message(data["v"])
-        raise CodecError(f"unknown value tag {tag!r}")
-    raise CodecError(f"cannot decode {type(data).__name__}: {data!r}")
-
-
-# ----------------------------------------------------------------------
-# message layer
-# ----------------------------------------------------------------------
-
-
-def _enc_start(m: Start) -> Dict[str, Any]:
-    return {"mc": encode_value(m.multicast)}
-
-
-def _dec_start(d: Dict[str, Any]) -> Start:
-    return Start(decode_value(d["mc"]))
-
-
-def _enc_ack(m: Ack) -> Dict[str, Any]:
-    return {
-        "mc": encode_value(m.multicast),
-        "g": m.group,
-        "e": encode_value(m.epoch),
-        "ts": m.ts,
-        "s": m.sender,
-        "dp": encode_value(m.dp),
-    }
-
-
-def _dec_ack(d: Dict[str, Any]) -> Ack:
-    return Ack(
-        decode_value(d["mc"]),
-        d["g"],
-        decode_value(d["e"]),
-        d["ts"],
-        d["s"],
-        decode_value(d["dp"]),
-    )
-
-
-def _enc_bump(m: Bump) -> Dict[str, Any]:
-    return {
-        "e": encode_value(m.epoch),
-        "ts": m.ts,
-        "s": m.sender,
-        "dp": encode_value(m.dp),
-    }
-
-
-def _dec_bump(d: Dict[str, Any]) -> Bump:
-    return Bump(decode_value(d["e"]), d["ts"], d["s"], decode_value(d["dp"]))
-
-
-def _enc_new_epoch(m: NewEpoch) -> Dict[str, Any]:
-    return {"e": encode_value(m.epoch)}
-
-
-def _dec_new_epoch(d: Dict[str, Any]) -> NewEpoch:
-    return NewEpoch(decode_value(d["e"]))
-
-
-def _enc_promise(m: EpochPromise) -> Dict[str, Any]:
-    return {
-        "e": encode_value(m.epoch),
-        "s": m.sender,
-        "c": m.clock,
-        "ec": encode_value(m.e_cur),
-        "t": encode_value(m.t_seq),
-        "tb": m.t_base,
-    }
-
-
-def _dec_promise(d: Dict[str, Any]) -> EpochPromise:
-    return EpochPromise(
-        decode_value(d["e"]),
-        d["s"],
-        d["c"],
-        decode_value(d["ec"]),
-        decode_value(d["t"]),
-        d["tb"],
-    )
-
-
-def _enc_new_state(m: NewState) -> Dict[str, Any]:
-    return {
-        "e": encode_value(m.epoch),
-        "t": encode_value(m.t_seq),
-        "ts": m.ts,
-        "tb": m.t_base,
-    }
-
-
-def _dec_new_state(d: Dict[str, Any]) -> NewState:
-    return NewState(
-        decode_value(d["e"]), decode_value(d["t"]), d["ts"], d["tb"]
-    )
-
-
-def _enc_accept(m: AcceptEpoch) -> Dict[str, Any]:
-    return {"e": encode_value(m.epoch), "s": m.sender}
-
-
-def _dec_accept(d: Dict[str, Any]) -> AcceptEpoch:
-    return AcceptEpoch(decode_value(d["e"]), d["s"])
-
-
-def _enc_envelope(m: Envelope) -> Dict[str, Any]:
-    return {
-        "o": m.origin,
-        "q": m.seq,
-        "p": encode_value(m.payload),
-        "d": list(m.dests),
-        "r": m.relayed,
-    }
-
-
-def _dec_envelope(d: Dict[str, Any]) -> Envelope:
-    return Envelope(
-        d["o"], d["q"], decode_value(d["p"]), tuple(d["d"]), d["r"]
-    )
-
-
-def _enc_batch(m: Batch) -> Dict[str, Any]:
-    return {"envs": [_enc_envelope(env) for env in m.envelopes]}
-
-
-def _dec_batch(d: Dict[str, Any]) -> Batch:
-    return Batch(tuple(_dec_envelope(env) for env in d["envs"]))
-
-
-#: class -> (wire tag, encode, decode). The wire tag is the codec's own
-#: namespace (``Envelope.kind`` is the *payload's* kind by design, so
-#: the class-level ``kind`` strings cannot serve as tags here).
-CODECS: Dict[Type[Any], Tuple[str, Callable[[Any], Dict[str, Any]], Callable[[Dict[str, Any]], Any]]] = {
-    Start: ("start", _enc_start, _dec_start),
-    Ack: ("ack", _enc_ack, _dec_ack),
-    Bump: ("bump", _enc_bump, _dec_bump),
-    NewEpoch: ("new-epoch", _enc_new_epoch, _dec_new_epoch),
-    EpochPromise: ("promise", _enc_promise, _dec_promise),
-    NewState: ("new-state", _enc_new_state, _dec_new_state),
-    AcceptEpoch: ("accept-epoch", _enc_accept, _dec_accept),
-    Envelope: ("envelope", _enc_envelope, _dec_envelope),
-    Batch: ("batch", _enc_batch, _dec_batch),
-}
-
-_DECODERS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
-    tag: dec for tag, _, dec in CODECS.values()
+_V_NONE, _V_TRUE, _V_FALSE, _V_INT, _V_FLOAT, _V_STR = 0, 1, 2, 3, 4, 5
+_V_LIST, _V_TUPLE, _V_SET, _V_FSET, _V_DICT, _V_EPOCH = 6, 7, 8, 9, 10, 11
+VALUE_TAGS = (_V_NONE, _V_TRUE, _V_FALSE, _V_INT, _V_FLOAT, _V_STR,
+              _V_LIST, _V_TUPLE, _V_SET, _V_FSET, _V_DICT, _V_EPOCH)
+_SEQUENCES: Dict[int, Callable[[List[Any]], Any]] = {
+    _V_LIST: list, _V_TUPLE: tuple, _V_SET: set, _V_FSET: frozenset,
 }
 
 
-def encode_message(msg: Any) -> Dict[str, Any]:
-    """Encode a registered wire message into a tagged JSON-safe dict."""
-    entry = CODECS.get(msg.__class__)
-    if entry is None:
-        raise CodecError(
-            f"no codec registered for message class "
-            f"{msg.__class__.__module__}.{msg.__class__.__name__}"
-        )
-    tag, enc, _ = entry
-    body = enc(msg)
-    body["k"] = tag
-    return body
-
-
-def decode_message(data: Dict[str, Any]) -> Any:
-    """Inverse of :func:`encode_message`."""
-    tag = data.get("k")
-    dec = _DECODERS.get(tag) if isinstance(tag, str) else None
-    if dec is None:
-        raise CodecError(f"no codec registered for wire tag {tag!r}")
-    return dec(data)
-
-
-def canonical_message_bytes(msg: Any) -> bytes:
-    """Canonical encoding of one message — equal bytes iff equal content
-    (the round-trip tests' equality witness for slotted classes)."""
-    return _canonical(encode_message(msg)).encode("utf-8")
-
-
-# ----------------------------------------------------------------------
-# binary layer
-# ----------------------------------------------------------------------
-
-#: First body byte of a binary frame. Canonical JSON bodies always start
-#: with ``{`` (0x7B), so 0x00 is unambiguous.
-FRAME_BINARY = 0x00
-
-#: Binary wire-format version, bumped on any layout change. A decoder
-#: seeing an unknown version raises instead of guessing.
-BINARY_VERSION = 1
-
-_U32 = struct.Struct("!I")
-_F64 = struct.Struct("!d")
-
-# Value tags (one byte each).
-_V_NONE = 0
-_V_TRUE = 1
-_V_FALSE = 2
-_V_INT = 3  # compact int (see _put_cint)
-_V_FLOAT = 5  # !d
-_V_STR = 6  # compact length + UTF-8
-_V_LIST = 7  # compact count + values
-_V_TUPLE = 8
-_V_SET = 9
-_V_FSET = 10
-_V_DICT = 11  # compact count + key/value pairs (canonically sorted)
-_V_EPOCH = 12  # compact number + compact leader
-_V_MC = 13  # mid (2 compact ints) + compact ndest + compact dests (sorted) + payload
-_V_MSG = 14  # nested registered message (tag byte + body)
-
-
-def _put_cint(out: bytearray, n: int) -> None:
-    """Compact signed int: a width byte (1/2/4/8) then that many
-    big-endian two's-complement bytes; width 0 escapes to a compact
-    length + arbitrary-size bytes. Protocol ints (pids, epochs, clock
-    ticks) almost always fit one or two bytes, which is where the wire
-    savings over JSON come from."""
-    if 0 <= n <= 127:
-        # The overwhelmingly common case (pids, small counts, group
-        # ids): append the byte directly, skipping to_bytes entirely.
-        out.append(1)
-        out.append(n)
-    elif -128 <= n < 0:
-        out.append(1)
-        out.append(n + 256)
-    elif -32768 <= n <= 32767:
-        out.append(2)
-        out += n.to_bytes(2, "big", signed=True)
-    elif -(2**31) <= n < 2**31:
-        out.append(4)
-        out += n.to_bytes(4, "big", signed=True)
-    elif -(2**63) <= n < 2**63:
-        out.append(8)
-        out += n.to_bytes(8, "big", signed=True)
-    else:
-        raw = n.to_bytes((n.bit_length() + 8) // 8, "big", signed=True)
-        out.append(0)
-        _put_cint(out, len(raw))
-        out += raw
-
-
-def _get_cint(buf: bytes, off: int) -> Tuple[int, int]:
-    width = buf[off]
-    if width == 1:
-        # Mirror of the one-byte fast path in _put_cint.
-        b = buf[off + 1]
-        return (b - 256 if b >= 128 else b), off + 2
-    off += 1
-    if width == 0:
-        width, off = _get_cint(buf, off)
-    return int.from_bytes(buf[off : off + width], "big", signed=True), off + width
-
-
-def _put_str(out: bytearray, s: str) -> None:
-    raw = s.encode("utf-8")
-    out.append(_V_STR)
-    _put_cint(out, len(raw))
-    out += raw
-
-
-#: Memoized canonical sort keys for container elements. Protocol
-#: payloads reuse a handful of short string keys ("c", "i", ...) and
-#: small ints, so the canonical-JSON key computation — a json.dumps
-#: per element, hot on the ack path — is short-circuited for ints
-#: (json.dumps(int) is str(int)) and cached for strs. Only strs enter
-#: the cache: a value-keyed dict would alias True/1/1.0 (equal, same
-#: hash, different canonical forms). Bounded so adversarial payloads
-#: cannot grow it without limit.
-_SORT_KEY_CACHE: Dict[str, str] = {}
-_SORT_KEY_CACHE_MAX = 4096
-
-
-def _container_sort_key(v: Any) -> str:
-    if type(v) is int:
-        return str(v)
-    if type(v) is str:
-        cached = _SORT_KEY_CACHE.get(v)
-        if cached is None:
-            cached = _canonical(encode_value(v))
-            if len(_SORT_KEY_CACHE) < _SORT_KEY_CACHE_MAX:
-                _SORT_KEY_CACHE[v] = cached
-        return cached
-    return _canonical(encode_value(v))
-
-
-def _pair_sort_key(kv: Tuple[Any, Any]) -> str:
-    return _container_sort_key(kv[0])
-
-
-def encode_value_binary(value: Any, out: bytearray) -> None:
-    """Append the binary encoding of ``value`` to ``out``.
-
-    Covers exactly the vocabulary of :func:`encode_value`; unordered
-    containers are sorted by the canonical JSON of their (encoded)
-    elements, so the binary encoding is the same deterministic function
-    of content as the JSON one (encode → decode → encode is
-    bit-stable).
-    """
-    if value is None:
+def _put_value(out: bytearray, v: Any) -> None:
+    cls = v.__class__
+    if v is None:
         out.append(_V_NONE)
-        return
-    cls = value.__class__
-    if cls is bool:
-        out.append(_V_TRUE if value else _V_FALSE)
-        return
-    if cls is int:
+    elif cls is bool:
+        out.append(_V_TRUE if v else _V_FALSE)
+    elif cls is int:
         out.append(_V_INT)
-        _put_cint(out, value)
-        return
-    if cls is str:
-        _put_str(out, value)
-        return
-    if cls is float:
+        out += _I64.pack(v)
+    elif cls is str:
+        raw = v.encode("utf-8")
+        out.append(_V_STR)
+        out += _U32.pack(len(raw))
+        out += raw
+    elif cls is float:
         out.append(_V_FLOAT)
-        out += _F64.pack(value)
-        return
-    if cls is list:
-        out.append(_V_LIST)
-        _put_cint(out, len(value))
-        for v in value:
-            encode_value_binary(v, out)
-        return
-    if cls is Epoch:
+        out += _F64.pack(v)
+    elif cls is Epoch:
         out.append(_V_EPOCH)
-        _put_cint(out, value.number)
-        _put_cint(out, value.leader)
-        return
-    if cls is Multicast:
-        out.append(_V_MC)
-        _put_cint(out, value.mid[0])
-        _put_cint(out, value.mid[1])
-        dest = sorted(value.dest)
-        _put_cint(out, len(dest))
-        for gid in dest:
-            _put_cint(out, gid)
-        encode_value_binary(value.payload, out)
-        return
-    if isinstance(value, tuple):
-        out.append(_V_TUPLE)
-        _put_cint(out, len(value))
-        for v in value:
-            encode_value_binary(v, out)
-        return
-    if isinstance(value, (set, frozenset)):
-        out.append(_V_FSET if isinstance(value, frozenset) else _V_SET)
-        items = sorted(value, key=_container_sort_key)
-        _put_cint(out, len(items))
-        for v in items:
-            encode_value_binary(v, out)
-        return
-    if isinstance(value, dict):
+        out += _EPOCH.pack(v[0], v[1])
+    elif cls is list or cls is tuple:
+        out.append(_V_LIST if cls is list else _V_TUPLE)
+        out += _U32.pack(len(v))
+        for item in v:
+            _put_value(out, item)
+    elif cls is dict:
+        # Canonical order: by key when every key is a str, else by the
+        # encoded key (keys are distinct, so values are never compared).
         out.append(_V_DICT)
-        pairs = sorted(value.items(), key=_pair_sort_key)
-        _put_cint(out, len(pairs))
-        for k, v in pairs:
-            encode_value_binary(k, out)
-            encode_value_binary(v, out)
-        return
-    if cls in BINARY_CODECS:
-        out.append(_V_MSG)
-        _encode_message_binary_into(value, out)
-        return
-    raise CodecError(f"cannot binary-encode {type(value).__name__}: {value!r}")
+        out += _U32.pack(len(v))
+        if all(k.__class__ is str for k in v):
+            for k in sorted(v):
+                _put_value(out, k)
+                _put_value(out, v[k])
+        else:
+            for raw, x in sorted((encode_value(k), x) for k, x in v.items()):
+                out += raw
+                _put_value(out, x)
+    elif cls is set or cls is frozenset:
+        items = sorted(encode_value(item) for item in v)
+        out.append(_V_SET if cls is set else _V_FSET)
+        out += _U32.pack(len(items))
+        for raw in items:
+            out += raw
+    else:
+        raise CodecError(f"cannot encode {cls.__name__}: {v!r}")
 
 
-def decode_value_binary(buf: bytes, off: int) -> Tuple[Any, int]:
-    """Inverse of :func:`encode_value_binary`; returns (value, new off)."""
+def _get_value(buf: bytes, off: int, end: int) -> Tuple[Any, int]:
     tag = buf[off]
     off += 1
-    if tag == _V_NONE:
-        return None, off
-    if tag == _V_TRUE:
-        return True, off
-    if tag == _V_FALSE:
-        return False, off
-    if tag == _V_INT:
-        return _get_cint(buf, off)
-    if tag == _V_FLOAT:
-        return _F64.unpack_from(buf, off)[0], off + 8
     if tag == _V_STR:
-        n, off = _get_cint(buf, off)
-        return bytes(buf[off : off + n]).decode("utf-8"), off + n
-    if tag in (_V_LIST, _V_TUPLE, _V_SET, _V_FSET):
-        n, off = _get_cint(buf, off)
-        items = []
-        for _ in range(n):
-            v, off = decode_value_binary(buf, off)
-            items.append(v)
-        if tag == _V_LIST:
-            return items, off
-        if tag == _V_TUPLE:
-            return tuple(items), off
-        if tag == _V_SET:
-            return set(items), off
-        return frozenset(items), off
+        (n,) = _U32.unpack_from(buf, off)
+        off += 4
+        if off + n > end:
+            raise CodecError("string runs past its payload")
+        return buf[off : off + n].decode("utf-8"), off + n
+    if tag == _V_INT:
+        return _I64.unpack_from(buf, off)[0], off + 8
     if tag == _V_DICT:
-        n, off = _get_cint(buf, off)
+        (n,) = _U32.unpack_from(buf, off)
+        off += 4
         d = {}
         for _ in range(n):
-            k, off = decode_value_binary(buf, off)
-            v, off = decode_value_binary(buf, off)
-            d[k] = v
+            k, off = _get_value(buf, off, end)
+            d[k], off = _get_value(buf, off, end)
         return d, off
+    if tag == _V_NONE or tag == _V_TRUE or tag == _V_FALSE:
+        return (None if tag == _V_NONE else tag == _V_TRUE), off
+    if tag == _V_FLOAT:
+        return _F64.unpack_from(buf, off)[0], off + 8
     if tag == _V_EPOCH:
-        number, off = _get_cint(buf, off)
-        leader, off = _get_cint(buf, off)
-        return Epoch(number, leader), off
-    if tag == _V_MC:
-        origin, off = _get_cint(buf, off)
-        seq, off = _get_cint(buf, off)
-        n, off = _get_cint(buf, off)
-        dest = []
+        return Epoch(*_EPOCH.unpack_from(buf, off)), off + _EPOCH.size
+    if tag in _SEQUENCES:
+        (n,) = _U32.unpack_from(buf, off)
+        off += 4
+        items = []
         for _ in range(n):
-            gid, off = _get_cint(buf, off)
-            dest.append(gid)
-        payload, off = decode_value_binary(buf, off)
-        return Multicast((origin, seq), frozenset(dest), payload), off
-    if tag == _V_MSG:
-        return _decode_message_binary_from(buf, off)
-    raise CodecError(f"unknown binary value tag {tag}")
+            item, off = _get_value(buf, off, end)
+            items.append(item)
+        return _SEQUENCES[tag](items), off
+    raise CodecError(f"unknown value tag {tag}")
 
 
-def _put_epoch(out: bytearray, epoch: Epoch) -> None:
-    _put_cint(out, epoch.number)
-    _put_cint(out, epoch.leader)
+def _whole(get: Callable[[bytes], Tuple[Any, int]], data: bytes, what: str) -> Any:
+    """Decode one ``what`` that must fill ``data`` exactly."""
+    try:
+        value, off = get(data)
+    except _DECODE_ERRORS as exc:  # CodecError included
+        raise CodecError(f"malformed {what}: {exc}") from exc
+    if off != len(data):
+        raise CodecError(f"trailing garbage after {what} ({len(data) - off} bytes)")
+    return value
 
 
-def _get_epoch(buf: bytes, off: int) -> Tuple[Epoch, int]:
-    number, off = _get_cint(buf, off)
-    leader, off = _get_cint(buf, off)
-    return Epoch(number, leader), off
+def encode_value(value: Any) -> bytes:
+    """The generic encoding of one payload value."""
+    out = bytearray()
+    try:
+        _put_value(out, value)
+    except struct.error as exc:
+        raise CodecError(f"cannot encode {value!r}: {exc}") from exc
+    return bytes(out)
 
 
-def _put_dp(out: bytearray, dp: Any) -> None:
-    if dp is None:
-        out.append(0)
-    else:
-        out.append(1)
-        _put_epoch(out, dp[0])
-        _put_cint(out, dp[1])
+def decode_value(data: bytes) -> Any:
+    """Inverse of :func:`encode_value`."""
+    return _whole(lambda b: _get_value(b, 0, len(b)), data, "value")
 
 
-def _get_dp(buf: bytes, off: int) -> Tuple[Any, int]:
-    if buf[off] == 0:
-        return None, off + 1
-    epoch, off = _get_epoch(buf, off + 1)
-    n, off = _get_cint(buf, off)
-    return (epoch, n), off
+# -- multicasts and the intern table ------------------------------------
 
 
-def _put_t_seq(out: bytearray, t_seq: Any) -> None:
-    _put_cint(out, len(t_seq))
-    for epoch, multicast, ts in t_seq:
-        _put_epoch(out, epoch)
-        encode_value_binary(multicast, out)
-        _put_cint(out, ts)
+def _put_bounded(entries: Dict[Any, Any], key: Any, value: Any) -> None:
+    if len(entries) >= INTERN_MAX and key not in entries:
+        del entries[next(iter(entries))]
+    entries[key] = value
 
 
-def _get_t_seq(buf: bytes, off: int) -> Tuple[List[Any], int]:
-    n, off = _get_cint(buf, off)
+class InternTable:
+    """One node's ``mid -> (Multicast, encoded bytes)`` table.
+
+    Encoding the very object stored for its mid copies the stored bytes;
+    decoding bytes equal to the stored bytes returns the stored object,
+    and other bytes are decoded in full and replace the entry (content
+    is checked, a mid is never trusted). The table also remembers
+    encoded envelopes by identity (a node's batches to its peers repeat
+    the same ack envelopes) and decoded epochs. Every map keeps at most
+    :data:`INTERN_MAX` entries, oldest evicted first. ``hits`` /
+    ``misses`` count multicast encodes and decodes served from the
+    table versus done in full.
+    """
+
+    __slots__ = ("_entries", "_envelopes", "_epochs", "hits", "misses")
+
+    def __init__(self) -> None:
+        self._entries: Dict[MessageId, Tuple[Multicast, bytes]] = {}
+        self._envelopes: Dict[int, Tuple[Envelope, bytearray]] = {}
+        self._epochs: Dict[int, Epoch] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def encode(self, mc: Multicast) -> bytes:
+        entry = self._entries.get(mc.mid)
+        if entry is not None and entry[0] is mc:
+            self.hits += 1
+            return entry[1]
+        self.misses += 1
+        dest = sorted(mc.dest)
+        out = bytearray(_MC.size)
+        out += _u16s(len(dest)).pack(*dest)
+        start = len(out)
+        _put_value(out, mc.payload)
+        _MC.pack_into(out, 0, mc.mid[0], mc.mid[1], len(dest), len(out) - start)
+        raw = bytes(out)
+        _put_bounded(self._entries, mc.mid, (mc, raw))
+        return raw
+
+    def decode(self, buf: bytes, off: int) -> Tuple[Multicast, int]:
+        origin, seq, n, plen = _MC.unpack_from(buf, off)
+        start = off + _MC.size + 2 * n
+        end = start + plen
+        if end > len(buf):
+            raise CodecError("multicast runs past the end of its frame")
+        entry = self._entries.get((origin, seq))
+        if entry is not None and len(entry[1]) == end - off and buf.startswith(entry[1], off):
+            self.hits += 1
+            return entry[0], end
+        self.misses += 1
+        payload, stop = _get_value(buf, start, end)
+        if stop != end:
+            raise CodecError("multicast payload length does not match its value")
+        dest = _u16s(n).unpack_from(buf, off + _MC.size)
+        mc = Multicast((origin, seq), frozenset(dest), payload)
+        _put_bounded(self._entries, mc.mid, (mc, buf[off:end]))
+        return mc, end
+
+    def epoch(self, number: int, leader: int) -> Epoch:
+        key = number << 16 | leader
+        epoch = self._epochs.get(key)
+        if epoch is None:
+            epoch = Epoch(number, leader)
+            _put_bounded(self._epochs, key, epoch)
+        return epoch
+
+
+# -- messages -----------------------------------------------------------
+
+
+def _dp_fields(dp: Any) -> Tuple[int, int, int, int]:
+    return (0, 0, 0, 0) if dp is None else (1, dp[0][0], dp[0][1], dp[1])
+
+
+def _put_rows(out: bytearray, rows: Any, t: InternTable) -> None:
+    for epoch, mc, ts in rows:
+        out += _T_ROW.pack(epoch[0], epoch[1], ts)
+        out += t.encode(mc)
+
+
+def _get_rows(buf: bytes, off: int, n: int, t: InternTable) -> Tuple[List[Any], int]:
     rows = []
     for _ in range(n):
-        epoch, off = _get_epoch(buf, off)
-        multicast, off = decode_value_binary(buf, off)
-        ts, off = _get_cint(buf, off)
-        rows.append((epoch, multicast, ts))
+        number, leader, ts = _T_ROW.unpack_from(buf, off)
+        mc, off = t.decode(buf, off + _T_ROW.size)
+        rows.append((t.epoch(number, leader), mc, ts))
     return rows, off
 
 
-def _benc_start(m: Start, out: bytearray) -> None:
-    encode_value_binary(m.multicast, out)
+def _enc_start(m: Start, out: bytearray, t: InternTable) -> None:
+    out += t.encode(m.multicast)
 
 
-def _bdec_start(buf: bytes, off: int) -> Tuple[Start, int]:
-    mc, off = decode_value_binary(buf, off)
+def _dec_start(buf: bytes, off: int, t: InternTable) -> Tuple[Start, int]:
+    mc, off = t.decode(buf, off)
     return Start(mc), off
 
 
-def _benc_ack(m: Ack, out: bytearray) -> None:
-    encode_value_binary(m.multicast, out)
-    _put_epoch(out, m.epoch)
-    _put_cint(out, m.group)
-    _put_cint(out, m.ts)
-    _put_cint(out, m.sender)
-    _put_dp(out, m.dp)
+def _enc_ack(m: Ack, out: bytearray, t: InternTable) -> None:
+    e = m.epoch
+    out += _ACK.pack(m.group, e[0], e[1], m.ts, m.sender, *_dp_fields(m.dp))
+    out += t.encode(m.multicast)
 
 
-def _bdec_ack(buf: bytes, off: int) -> Tuple[Ack, int]:
-    mc, off = decode_value_binary(buf, off)
-    epoch, off = _get_epoch(buf, off)
-    group, off = _get_cint(buf, off)
-    ts, off = _get_cint(buf, off)
-    sender, off = _get_cint(buf, off)
-    dp, off = _get_dp(buf, off)
+def _dec_ack(buf: bytes, off: int, t: InternTable) -> Tuple[Ack, int]:
+    # The hottest decoder: one unpack covers both heads, an intern hit
+    # is resolved inline (InternTable.decode does the rest), and equal
+    # epochs are looked up once.
+    (group, en, el, ts, sender, has_dp, dn, dl, dc,
+     origin, seq, n, plen) = _ACK_MC.unpack_from(buf, off)
+    off += _ACK.size
+    size = _MC.size + 2 * n + plen
+    entry = t._entries.get((origin, seq))
+    if entry is not None and len(entry[1]) == size and buf.startswith(entry[1], off):
+        t.hits += 1
+        mc, off = entry[0], off + size
+    else:
+        mc, off = t.decode(buf, off)
+    epoch = t._epochs.get(en << 16 | el) or t.epoch(en, el)
+    if has_dp:
+        dp = (epoch if dn == en and dl == el else t.epoch(dn, dl), dc)
+    else:
+        dp = None
     return Ack(mc, group, epoch, ts, sender, dp), off
 
 
-def _benc_bump(m: Bump, out: bytearray) -> None:
-    _put_epoch(out, m.epoch)
-    _put_cint(out, m.ts)
-    _put_cint(out, m.sender)
-    _put_dp(out, m.dp)
+def _enc_bump(m: Bump, out: bytearray, t: InternTable) -> None:
+    out += _BUMP.pack(m.epoch[0], m.epoch[1], m.ts, m.sender, *_dp_fields(m.dp))
 
 
-def _bdec_bump(buf: bytes, off: int) -> Tuple[Bump, int]:
-    epoch, off = _get_epoch(buf, off)
-    ts, off = _get_cint(buf, off)
-    sender, off = _get_cint(buf, off)
-    dp, off = _get_dp(buf, off)
-    return Bump(epoch, ts, sender, dp), off
+def _dec_bump(buf: bytes, off: int, t: InternTable) -> Tuple[Bump, int]:
+    en, el, ts, sender, has_dp, dn, dl, dc = _BUMP.unpack_from(buf, off)
+    dp = (t.epoch(dn, dl), dc) if has_dp else None
+    return Bump(t.epoch(en, el), ts, sender, dp), off + _BUMP.size
 
 
-def _benc_new_epoch(m: NewEpoch, out: bytearray) -> None:
-    _put_epoch(out, m.epoch)
+def _enc_new_epoch(m: NewEpoch, out: bytearray, t: InternTable) -> None:
+    out += _EPOCH.pack(m.epoch[0], m.epoch[1])
 
 
-def _bdec_new_epoch(buf: bytes, off: int) -> Tuple[NewEpoch, int]:
-    epoch, off = _get_epoch(buf, off)
-    return NewEpoch(epoch), off
+def _dec_new_epoch(buf: bytes, off: int, t: InternTable) -> Tuple[NewEpoch, int]:
+    return NewEpoch(t.epoch(*_EPOCH.unpack_from(buf, off))), off + _EPOCH.size
 
 
-def _benc_promise(m: EpochPromise, out: bytearray) -> None:
-    _put_epoch(out, m.epoch)
-    _put_cint(out, m.sender)
-    _put_cint(out, m.clock)
-    _put_epoch(out, m.e_cur)
-    _put_t_seq(out, m.t_seq)
-    _put_cint(out, m.t_base)
+def _enc_promise(m: EpochPromise, out: bytearray, t: InternTable) -> None:
+    e, c = m.epoch, m.e_cur
+    out += _PROMISE.pack(e[0], e[1], m.sender, m.clock, c[0], c[1], m.t_base, len(m.t_seq))
+    _put_rows(out, m.t_seq, t)
 
 
-def _bdec_promise(buf: bytes, off: int) -> Tuple[EpochPromise, int]:
-    epoch, off = _get_epoch(buf, off)
-    sender, off = _get_cint(buf, off)
-    clock, off = _get_cint(buf, off)
-    e_cur, off = _get_epoch(buf, off)
-    t_seq, off = _get_t_seq(buf, off)
-    t_base, off = _get_cint(buf, off)
-    return EpochPromise(epoch, sender, clock, e_cur, t_seq, t_base), off
+def _dec_promise(buf: bytes, off: int, t: InternTable) -> Tuple[EpochPromise, int]:
+    en, el, sender, clock, cn, cl, t_base, n = _PROMISE.unpack_from(buf, off)
+    rows, off = _get_rows(buf, off + _PROMISE.size, n, t)
+    return EpochPromise(t.epoch(en, el), sender, clock, t.epoch(cn, cl), rows, t_base), off
 
 
-def _benc_new_state(m: NewState, out: bytearray) -> None:
-    _put_epoch(out, m.epoch)
-    _put_t_seq(out, m.t_seq)
-    _put_cint(out, m.ts)
-    _put_cint(out, m.t_base)
+def _enc_new_state(m: NewState, out: bytearray, t: InternTable) -> None:
+    out += _NEW_STATE.pack(m.epoch[0], m.epoch[1], m.ts, m.t_base, len(m.t_seq))
+    _put_rows(out, m.t_seq, t)
 
 
-def _bdec_new_state(buf: bytes, off: int) -> Tuple[NewState, int]:
-    epoch, off = _get_epoch(buf, off)
-    t_seq, off = _get_t_seq(buf, off)
-    ts, off = _get_cint(buf, off)
-    t_base, off = _get_cint(buf, off)
-    return NewState(epoch, t_seq, ts, t_base), off
+def _dec_new_state(buf: bytes, off: int, t: InternTable) -> Tuple[NewState, int]:
+    en, el, ts, t_base, n = _NEW_STATE.unpack_from(buf, off)
+    rows, off = _get_rows(buf, off + _NEW_STATE.size, n, t)
+    return NewState(t.epoch(en, el), rows, ts, t_base), off
 
 
-def _benc_accept(m: AcceptEpoch, out: bytearray) -> None:
-    _put_epoch(out, m.epoch)
-    _put_cint(out, m.sender)
+def _enc_accept(m: AcceptEpoch, out: bytearray, t: InternTable) -> None:
+    out += _ACCEPT.pack(m.epoch[0], m.epoch[1], m.sender)
 
 
-def _bdec_accept(buf: bytes, off: int) -> Tuple[AcceptEpoch, int]:
-    epoch, off = _get_epoch(buf, off)
-    sender, off = _get_cint(buf, off)
-    return AcceptEpoch(epoch, sender), off
+def _dec_accept(buf: bytes, off: int, t: InternTable) -> Tuple[AcceptEpoch, int]:
+    en, el, sender = _ACCEPT.unpack_from(buf, off)
+    return AcceptEpoch(t.epoch(en, el), sender), off + _ACCEPT.size
 
 
-def _benc_envelope(m: Envelope, out: bytearray) -> None:
-    _put_cint(out, m.origin)
-    _put_cint(out, m.seq)
-    _put_cint(out, len(m.dests))
-    for dst in m.dests:
-        _put_cint(out, dst)
-    out.append(1 if m.relayed else 0)
-    encode_value_binary(m.payload, out)
+def _enc_envelope(m: Envelope, out: bytearray, t: InternTable) -> None:
+    # Cached by id(): the entry holds the envelope, so its id cannot be
+    # reused while the entry exists.
+    entry = t._envelopes.get(id(m))
+    if entry is not None and entry[0] is m:
+        out += entry[1]
+        return
+    raw = bytearray(_ENVELOPE.pack(m.origin, m.seq, m.relayed, len(m.dests)))
+    raw += _u16s(len(m.dests)).pack(*m.dests)
+    codec = CODECS.get(m.payload.__class__)
+    if codec is not None:
+        raw.append(codec[0])
+        codec[2](m.payload, raw, t)
+    else:
+        value = encode_value(m.payload)
+        raw.append(_RAW_PAYLOAD)
+        raw += _U32.pack(len(value))
+        raw += value
+    _put_bounded(t._envelopes, id(m), (m, raw))
+    out += raw
 
 
-def _bdec_envelope(buf: bytes, off: int) -> Tuple[Envelope, int]:
-    origin, off = _get_cint(buf, off)
-    seq, off = _get_cint(buf, off)
-    n, off = _get_cint(buf, off)
-    dests = []
-    for _ in range(n):
-        dst, off = _get_cint(buf, off)
-        dests.append(dst)
-    relayed = buf[off] != 0
-    off += 1
-    payload, off = decode_value_binary(buf, off)
-    return Envelope(origin, seq, payload, tuple(dests), relayed), off
+def _dec_envelope(buf: bytes, off: int, t: InternTable) -> Tuple[Envelope, int]:
+    origin, seq, relayed, n = _ENVELOPE.unpack_from(buf, off)
+    off += _ENVELOPE.size
+    dests = _u16s(n).unpack_from(buf, off)
+    off += 2 * n
+    dec = _DECODERS.get(buf[off])
+    if dec is not None:
+        payload, off = dec(buf, off + 1, t)
+    elif buf[off] == _RAW_PAYLOAD:
+        (plen,) = _U32.unpack_from(buf, off + 1)
+        end = off + 5 + plen
+        payload, off = _get_value(buf, off + 5, end)
+        if off != end:
+            raise CodecError("envelope payload length does not match its value")
+    else:
+        raise CodecError(f"no codec registered for wire tag {buf[off]}")
+    return Envelope(origin, seq, payload, dests, relayed != 0), off
 
 
-def _benc_batch(m: Batch, out: bytearray) -> None:
-    _put_cint(out, len(m.envelopes))
+def _enc_batch(m: Batch, out: bytearray, t: InternTable) -> None:
+    out += _BATCH.pack(len(m.envelopes))
     for env in m.envelopes:
-        _benc_envelope(env, out)
+        _enc_envelope(env, out, t)
 
 
-def _bdec_batch(buf: bytes, off: int) -> Tuple[Batch, int]:
-    n, off = _get_cint(buf, off)
+def _dec_batch(buf: bytes, off: int, t: InternTable) -> Tuple[Batch, int]:
+    (n,) = _BATCH.unpack_from(buf, off)
+    off += _BATCH.size
     envs = []
     for _ in range(n):
-        env, off = _bdec_envelope(buf, off)
+        env, off = _dec_envelope(buf, off, t)
         envs.append(env)
     return Batch(tuple(envs)), off
 
 
-#: class -> (one-byte wire tag, binary encode, binary decode). Exactly
-#: the classes of :data:`CODECS` — the registry test pins the two key
-#: sets equal, so a new wire message cannot ship with only one format.
-BINARY_CODECS: Dict[
-    Type[Any],
-    Tuple[int, Callable[[Any, bytearray], None], Callable[[bytes, int], Tuple[Any, int]]],
-] = {
-    Start: (1, _benc_start, _bdec_start),
-    Ack: (2, _benc_ack, _bdec_ack),
-    Bump: (3, _benc_bump, _bdec_bump),
-    NewEpoch: (4, _benc_new_epoch, _bdec_new_epoch),
-    EpochPromise: (5, _benc_promise, _bdec_promise),
-    NewState: (6, _benc_new_state, _bdec_new_state),
-    AcceptEpoch: (7, _benc_accept, _bdec_accept),
-    Envelope: (8, _benc_envelope, _bdec_envelope),
-    Batch: (9, _benc_batch, _bdec_batch),
+Encoder = Callable[[Any, bytearray, InternTable], None]
+Decoder = Callable[[bytes, int, InternTable], Tuple[Any, int]]
+
+#: class -> (one-byte wire tag, fixed head layout, encode, decode). Every
+#: class in :mod:`repro.core.messages` with a class-level ``kind`` plus
+#: the rmcast frames must have an entry; the registry test fails when a
+#: new wire message is added without one. (``Envelope.kind`` is its
+#: payload's kind, so the ``kind`` strings cannot serve as tags.)
+CODECS: Dict[Type[Any], Tuple[int, Struct, Encoder, Decoder]] = {
+    Start: (1, _MC, _enc_start, _dec_start),
+    Ack: (2, _ACK, _enc_ack, _dec_ack),
+    Bump: (3, _BUMP, _enc_bump, _dec_bump),
+    NewEpoch: (4, _EPOCH, _enc_new_epoch, _dec_new_epoch),
+    EpochPromise: (5, _PROMISE, _enc_promise, _dec_promise),
+    NewState: (6, _NEW_STATE, _enc_new_state, _dec_new_state),
+    AcceptEpoch: (7, _ACCEPT, _enc_accept, _dec_accept),
+    Envelope: (8, _ENVELOPE, _enc_envelope, _dec_envelope),
+    Batch: (9, _BATCH, _enc_batch, _dec_batch),
 }
 
-_BINARY_DECODERS: Dict[int, Callable[[bytes, int], Tuple[Any, int]]] = {
-    tag: dec for tag, _, dec in BINARY_CODECS.values()
-}
+_DECODERS: Dict[int, Decoder] = {tag: dec for tag, _, _, dec in CODECS.values()}
 
 
-def _encode_message_binary_into(msg: Any, out: bytearray) -> None:
-    entry = BINARY_CODECS.get(msg.__class__)
+def _put_message(msg: Any, out: bytearray, t: InternTable) -> None:
+    entry = CODECS.get(msg.__class__)
     if entry is None:
-        raise CodecError(
-            f"no binary codec registered for message class "
-            f"{msg.__class__.__module__}.{msg.__class__.__name__}"
-        )
+        cls = msg.__class__
+        raise CodecError(f"no codec registered for {cls.__module__}.{cls.__name__}")
     out.append(entry[0])
-    entry[1](msg, out)
+    entry[2](msg, out, t)
 
 
-def _decode_message_binary_from(buf: bytes, off: int) -> Tuple[Any, int]:
-    dec = _BINARY_DECODERS.get(buf[off])
+def _get_message(buf: bytes, off: int, t: InternTable) -> Tuple[Any, int]:
+    dec = _DECODERS.get(buf[off])
     if dec is None:
-        raise CodecError(f"no binary codec registered for wire tag {buf[off]}")
-    return dec(buf, off + 1)
+        raise CodecError(f"no codec registered for wire tag {buf[off]}")
+    return dec(buf, off + 1, t)
 
 
-def encode_message_binary(msg: Any) -> bytes:
-    """Binary encoding of one registered wire message (tag + body)."""
+def encode_message(msg: Any, table: Optional[InternTable] = None) -> bytes:
+    """One registered wire message (tag + layout + tail) as bytes."""
     out = bytearray()
-    _encode_message_binary_into(msg, out)
+    try:
+        _put_message(msg, out, table if table is not None else InternTable())
+    except struct.error as exc:
+        raise CodecError(f"cannot encode {msg!r}: {exc}") from exc
     return bytes(out)
 
 
-def decode_message_binary(data: bytes) -> Any:
-    """Inverse of :func:`encode_message_binary`."""
-    msg, off = _decode_message_binary_from(data, 0)
-    if off != len(data):
-        raise CodecError(
-            f"trailing garbage after binary message ({len(data) - off} bytes)"
-        )
-    return msg
+def decode_message(data: bytes, table: Optional[InternTable] = None) -> Any:
+    """Inverse of :func:`encode_message`."""
+    t = table if table is not None else InternTable()
+    return _whole(lambda b: _get_message(b, 0, t), data, "message")
 
 
-# ----------------------------------------------------------------------
-# frame layer
-# ----------------------------------------------------------------------
+# -- frames -------------------------------------------------------------
 
 
-def encode_frame(obj: Dict[str, Any]) -> bytes:
-    """One frame: canonical JSON body behind a 4-byte length prefix."""
-    body = _canonical(obj).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise CodecError(f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES")
-    return LEN_STRUCT.pack(len(body)) + body
+def encode_msg_frame(src: int, msg: Any, table: Optional[InternTable] = None) -> bytearray:
+    """One MSG frame carrying ``msg`` from ``src``, length prefix included
+    (never mutated after it is returned)."""
+    out = bytearray(_MSG_HEAD.size)
+    try:
+        _put_message(msg, out, table if table is not None else InternTable())
+        length = len(out) - LEN_STRUCT.size
+        if length > MAX_FRAME_BYTES:
+            raise CodecError(f"frame of {length} bytes exceeds MAX_FRAME_BYTES")
+        _MSG_HEAD.pack_into(out, 0, length, FRAME_MSG, src)
+    except struct.error as exc:
+        raise CodecError(f"cannot encode {msg!r} from {src!r}: {exc}") from exc
+    return out
 
 
-# Binary frame kinds (byte after the version byte). Hello frames are
-# always JSON — peer identification must work before the receiver knows
-# anything about the dialer's codec setting.
-_BF_HB = 2
-_BF_MSG = 3  # u32 src pid + binary message
-
-_BINARY_HEADER = bytes((FRAME_BINARY, BINARY_VERSION))
+def _control_frame(layout: Struct, *fields: int) -> bytes:
+    try:
+        return LEN_STRUCT.pack(layout.size) + layout.pack(*fields)
+    except struct.error as exc:
+        raise CodecError(f"cannot encode {fields!r}: {exc}") from exc
 
 
-def encode_msg_frame(src: int, msg: Any, binary: bool = False) -> bytes:
-    """One protocol-message frame in the requested body format.
-
-    The JSON form is exactly the PR-9 frame ``{"t": "m", "src": ...,
-    "m": encode_message(msg)}``; the binary form packs the same
-    information as ``0x00 | version | MSG | u32 src | message``.
-    """
-    if not binary:
-        return encode_frame({"t": "m", "src": src, "m": encode_message(msg)})
-    out = bytearray(LEN_STRUCT.size)
-    out += _BINARY_HEADER
-    out.append(_BF_MSG)
-    out += _U32.pack(src)
-    _encode_message_binary_into(msg, out)
-    length = len(out) - LEN_STRUCT.size
-    if length > MAX_FRAME_BYTES:
-        raise CodecError(f"frame of {length} bytes exceeds MAX_FRAME_BYTES")
-    LEN_STRUCT.pack_into(out, 0, length)
-    return bytes(out)
+def encode_hb_frame(pid: int) -> bytes:
+    """One heartbeat frame."""
+    return _control_frame(_HB, FRAME_HB, pid)
 
 
-def encode_hb_frame(pid: int, binary: bool = False) -> bytes:
-    """One heartbeat frame (``{"t": "hb", "pid": ...}`` equivalent)."""
-    if not binary:
-        return encode_frame({"t": "hb", "pid": pid})
-    body = _BINARY_HEADER + bytes((_BF_HB,)) + _U32.pack(pid)
-    return LEN_STRUCT.pack(len(body)) + body
+def encode_hello_frame(pid: int) -> bytes:
+    """The first frame on every connection: wire version + dialer pid."""
+    return _control_frame(_HELLO, FRAME_HELLO, WIRE_VERSION, pid)
 
 
-def _decode_binary_body(body: bytes) -> Dict[str, Any]:
-    """Parse a binary frame body into the same dict shape JSON frames
-    produce, with the already-decoded message under ``"msg"`` (so the
-    host skips the tagged-dict decode entirely)."""
-    if len(body) < 3:
-        raise CodecError(f"binary frame body too short ({len(body)} bytes)")
-    if body[1] != BINARY_VERSION:
-        raise CodecError(f"unsupported binary frame version {body[1]}")
-    kind = body[2]
-    if kind == _BF_MSG:
-        (src,) = _U32.unpack_from(body, 3)
-        msg, off = _decode_message_binary_from(body, 7)
-        if off != len(body):
-            raise CodecError(
-                f"trailing garbage after binary frame ({len(body) - off} bytes)"
-            )
-        return {"t": "m", "src": src, "msg": msg}
-    if kind == _BF_HB:
-        (pid,) = _U32.unpack_from(body, 3)
-        return {"t": "hb", "pid": pid}
-    raise CodecError(f"unknown binary frame kind {kind}")
+def _decode_frame(buf: bytes, off: int, end: int, table: InternTable) -> Frame:
+    """The frame whose body is ``buf[off:end]``."""
+    kind = buf[off]
+    if kind == FRAME_MSG:
+        _, src, tag = _MSG_BODY.unpack_from(buf, off)
+        dec = _DECODERS.get(tag)
+        if dec is None:
+            raise CodecError(f"no codec registered for wire tag {tag}")
+        msg, off = dec(buf, off + _MSG_BODY.size, table)
+        if off != end:
+            raise CodecError(f"message does not fill its frame ({end - off} bytes left)")
+        return (FRAME_MSG, src, msg)
+    if kind == FRAME_HB and end - off == _HB.size:
+        return (FRAME_HB, _HB.unpack_from(buf, off)[1], None)
+    if kind == FRAME_HELLO and end - off == _HELLO.size:
+        _, version, pid = _HELLO.unpack_from(buf, off)
+        if version != WIRE_VERSION:
+            raise CodecError(f"peer speaks wire version {version}, not {WIRE_VERSION}")
+        return (FRAME_HELLO, pid, None)
+    raise CodecError(f"malformed frame of kind {kind} ({end - off} bytes)")
 
 
 class FrameDecoder:
     """Incremental frame reassembly over an arbitrary byte stream.
 
     ``feed`` accepts any chunking (TCP does not respect frame
-    boundaries) and returns the complete frames it finished. Each frame
-    body is dispatched on its first byte — :data:`FRAME_BINARY` or
-    canonical JSON — so a single connection may mix formats freely.
+    boundaries) and returns the complete frames it finished. Multicasts
+    are decoded through ``table`` — the owning node's intern table.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, table: Optional[InternTable] = None) -> None:
+        self.table = table if table is not None else InternTable()
         self._buf = bytearray()
+        #: Buffered bytes needed before the next frame can complete.
+        self._need = 0
 
-    def feed(self, data: bytes) -> List[Dict[str, Any]]:
-        self._buf.extend(data)
-        frames: List[Dict[str, Any]] = []
+    def feed(self, data: bytes) -> List[Frame]:
         buf = self._buf
-        while True:
-            if len(buf) < LEN_STRUCT.size:
-                break
-            (length,) = LEN_STRUCT.unpack_from(buf)
-            if length > MAX_FRAME_BYTES:
-                raise CodecError(f"frame length {length} exceeds MAX_FRAME_BYTES")
-            end = LEN_STRUCT.size + length
-            if len(buf) < end:
-                break
-            body = bytes(buf[LEN_STRUCT.size:end])
-            del buf[:end]
-            if body and body[0] == FRAME_BINARY:
-                frames.append(_decode_binary_body(body))
-                continue
-            obj = json.loads(body.decode("utf-8"))
-            if not isinstance(obj, dict):
-                raise CodecError(f"frame body is not an object: {obj!r}")
-            frames.append(obj)
+        if buf:
+            if len(buf) + len(data) < self._need:
+                buf += data
+                return []
+            data = b"".join((buf, data))
+            buf.clear()
+        frames: List[Frame] = []
+        off, n, table = 0, len(data), self.table
+        try:
+            while True:
+                if n - off < LEN_STRUCT.size:
+                    self._need = LEN_STRUCT.size
+                    break
+                (length,) = LEN_STRUCT.unpack_from(data, off)
+                if length > MAX_FRAME_BYTES:
+                    raise CodecError(f"frame length {length} exceeds MAX_FRAME_BYTES")
+                end = off + LEN_STRUCT.size + length
+                if end > n:
+                    self._need = end - off
+                    break
+                frames.append(_decode_frame(data, off + LEN_STRUCT.size, end, table))
+                off = end
+        except _DECODE_ERRORS as exc:  # CodecError included
+            raise CodecError(f"malformed frame: {exc}") from exc
+        if off < n:
+            buf += data[off:]
         return frames

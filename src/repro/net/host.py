@@ -18,7 +18,9 @@ module implements both halves over asyncio:
 * :class:`TransportFacade` — ``transmit`` delivers self-addressed
   messages synchronously (the sim's zero-latency self-channel) and
   encodes everything else onto the per-peer TCP connection
-  (:mod:`repro.net.transport`); per-channel FIFO comes from TCP.
+  (:mod:`repro.net.transport`); per-channel FIFO comes from TCP. A
+  message fanned out to several peers is encoded once, through the
+  node's intern table.
 
 :class:`NetNode` assembles one protocol process with its facades,
 heartbeat oracle, delivery log and workload driver — one node per OS
@@ -38,10 +40,11 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 from collections import Counter
 
 from ..core.config import GroupConfig
+from ..core.gc import DEFAULT_COMPACTION_INTERVAL_MS
 from ..core.process import PrimCastProcess
 from ..sim.costs import CostModel
 from ..sim.rng import child_rng
-from .codec import decode_message, encode_hb_frame, encode_msg_frame
+from .codec import FRAME_HB, FRAME_MSG, Frame, encode_hb_frame, encode_msg_frame
 from .election import DEFAULT_HB_INTERVAL_MS, DEFAULT_SUSPECT_MS, HeartbeatOmega
 from .runtime import Runtime, SchedulerAPI, TransportAPI
 from .transport import Transport
@@ -51,6 +54,10 @@ from .workload import (
     make_workload,
     plans_expected_count,
 )
+
+#: Frames the transport facade keeps for reuse by later transmits of
+#: the same message (one fan-out spans a handler's sends).
+FANOUT_FRAMES = 16
 
 #: Node exit codes (the launcher interprets these).
 EXIT_OK = 0
@@ -161,20 +168,23 @@ class TransportFacade:
     """TransportAPI over the per-peer connection manager.
 
     Self-addressed messages are delivered synchronously (the sim's
-    zero-latency self-channel); remote messages are encoded once per
-    destination and queued on that peer's TCP connection.
+    zero-latency self-channel); a remote message is encoded once —
+    the transmits of one fan-out reuse its frame, even when rmcast
+    interleaves batch flushes between them — and queued on each
+    destination's TCP connection.
     """
 
-    def __init__(self, scheduler: NetScheduler, binary: bool = False) -> None:
+    def __init__(self, scheduler: NetScheduler) -> None:
         self._scheduler = scheduler
         self._transport: Optional[Transport] = None
         self.processes: Dict[int, Any] = {}
-        #: Encode wire messages in the binary fast-path format instead
-        #: of canonical JSON (the receiver auto-detects per frame).
-        self.binary = binary
         #: Wire messages by kind (mirrors Network.counts_by_kind).
         self.counts_by_kind: Counter[str] = Counter()
         self.messages_sent = 0
+        # Frames of the latest remote messages by id(); an entry holds
+        # its message, so the id cannot be reused while it exists, and
+        # wire messages are never mutated after being sent.
+        self._frames: Dict[int, Tuple[Any, int, bytearray]] = {}
 
     def bind(self, transport: Transport) -> None:
         self._transport = transport
@@ -193,11 +203,16 @@ class TransportFacade:
             local.enqueue_message(src, msg)
             self._scheduler.kick()
             return
-        if self._transport is None:
+        transport = self._transport
+        if transport is None:
             raise RuntimeError("transport not bound yet (node still starting)")
-        self._transport.send_frame_bytes(
-            dst, encode_msg_frame(src, msg, binary=self.binary)
-        )
+        frames = self._frames
+        entry = frames.get(id(msg))
+        if entry is None or entry[0] is not msg or entry[1] != src:
+            if len(frames) >= FANOUT_FRAMES:
+                frames.clear()
+            entry = frames[id(msg)] = (msg, src, encode_msg_frame(src, msg, transport.intern))
+        transport.send_frame_bytes(dst, entry[2])
 
 
 class AsyncioRuntime(Runtime):
@@ -205,15 +220,11 @@ class AsyncioRuntime(Runtime):
 
     backend = "net"
 
-    def __init__(
-        self,
-        loop: Optional[asyncio.AbstractEventLoop] = None,
-        binary: bool = False,
-    ) -> None:
+    def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
         super().__init__()
         self._loop = loop if loop is not None else asyncio.get_running_loop()
         self._scheduler = NetScheduler(self._loop)
-        self._transport_facade = TransportFacade(self._scheduler, binary=binary)
+        self._transport_facade = TransportFacade(self._scheduler)
 
     @property
     def scheduler(self) -> SchedulerAPI:
@@ -273,10 +284,6 @@ class Topology:
     #: coordinator writes it right after performing the kill). ``None``
     #: means never pause.
     hold_after: Optional[int] = None
-    #: Wire encoding: ``"json"`` (canonical, PR-9 format) or
-    #: ``"binary"`` (struct-packed fast path). Received frames are
-    #: auto-detected, so mixed-codec clusters interoperate.
-    codec: str = "json"
     #: Stage outgoing frames per peer and write once per event-loop
     #: drain (transport.py); off = one write per frame.
     coalesce: bool = True
@@ -308,7 +315,6 @@ class Topology:
             "run_timeout_s": self.run_timeout_s,
             "linger_ms": self.linger_ms,
             "hold_after": self.hold_after,
-            "codec": self.codec,
             "coalesce": self.coalesce,
             "batching_ms": self.batching_ms,
             "driver_mode": self.driver_mode,
@@ -319,7 +325,8 @@ class Topology:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "Topology":
-        # .get() with the field defaults keeps PR-9 topology files valid.
+        # .get() with the field defaults keeps PR-9 topology files valid
+        # (a "codec" key from before the single wire format is ignored).
         return cls(
             groups=[list(g) for g in data["groups"]],
             addresses={
@@ -336,7 +343,6 @@ class Topology:
             run_timeout_s=data["run_timeout_s"],
             linger_ms=data["linger_ms"],
             hold_after=data.get("hold_after"),
-            codec=data.get("codec", "json"),
             coalesce=data.get("coalesce", True),
             batching_ms=data.get("batching_ms", 0.0),
             driver_mode=data.get("driver_mode", "seq"),
@@ -467,6 +473,7 @@ class NetNode:
         self._latencies: List[float] = []
         self._epochs_seen = 0
         self._hold_task: Optional["asyncio.Task[None]"] = None
+        self._compaction: Optional[_LoopTimerHandle] = None
         self._done = asyncio.Event()
         self._log_fh: Optional[Any] = None
         self._submit_fh: Optional[Any] = None
@@ -481,6 +488,8 @@ class NetNode:
         except asyncio.TimeoutError:
             return self._result(EXIT_TIMEOUT)
         finally:
+            if self._compaction is not None:
+                self._compaction.cancel()
             for fh_attr in ("_log_fh", "_submit_fh"):
                 fh = getattr(self, fh_attr)
                 if fh is not None:
@@ -489,7 +498,7 @@ class NetNode:
 
     async def _run(self) -> NodeResult:
         topo = self.topology
-        runtime = self.runtime = AsyncioRuntime(binary=topo.codec == "binary")
+        runtime = self.runtime = AsyncioRuntime()
         sched = runtime.net_scheduler
         facade = runtime.transport_facade
         proc = self.proc = PrimCastProcess(
@@ -531,6 +540,9 @@ class NetNode:
         proc.omega = omega
         omega.subscribe(proc._on_omega_output)
         omega.start()
+        self._compaction = sched.call_after(
+            DEFAULT_COMPACTION_INTERVAL_MS, self._compact
+        )
 
         if self.open_mode:
             self._start_clients()
@@ -555,29 +567,34 @@ class NetNode:
 
     # -- frame handling (event-loop context) -----------------------------
 
-    def _on_frame(self, src: int, frame: Dict[str, Any]) -> None:
-        t = frame.get("t")
-        if t == "m":
+    def _on_frame(self, src: int, frame: Frame) -> None:
+        kind, pid, msg = frame
+        if kind == FRAME_MSG:
             assert self.proc is not None and self.runtime is not None
-            # Binary frames arrive with the message already decoded by
-            # the FrameDecoder ("msg"); JSON frames carry the tagged
-            # dict form ("m").
-            msg = frame.get("msg")
-            if msg is None:
-                msg = decode_message(frame["m"])
             if self.omega is not None:
                 self.omega.heard_from(src)
-            self.proc.enqueue_message(int(frame.get("src", src)), msg)
+            self.proc.enqueue_message(pid, msg)
             self.runtime.net_scheduler.kick()
-        elif t == "hb":
+        elif kind == FRAME_HB:
             if self.omega is not None:
-                self.omega.heard_from(int(frame["pid"]))
+                self.omega.heard_from(pid)
+
+    def _compact(self) -> None:
+        """State-GC tick: the net counterpart of the simulator's
+        ``CompactionDaemon`` (schedule-neutral — it sends nothing and
+        only drops state the protocol can no longer read). A killed
+        node's dead scheduler never fires it again."""
+        assert self.proc is not None and self.runtime is not None
+        self.proc.compact_delivered()
+        self._compaction = self.runtime.net_scheduler.call_after(
+            DEFAULT_COMPACTION_INTERVAL_MS, self._compact
+        )
 
     def _send_heartbeats(self) -> None:
         transport = self._transport
         if transport is None:
             return
-        data = encode_hb_frame(self.pid, binary=self.topology.codec == "binary")
+        data = encode_hb_frame(self.pid)
         for pid in self.config.members(self.gid):
             if pid != self.pid and pid in transport.peers:
                 transport.send_frame_bytes(pid, data)
@@ -804,7 +821,6 @@ class NetNode:
                 if self._last_deliver_ms is not None
                 else None
             ),
-            "codec": self.topology.codec,
             "driver_mode": self.topology.driver_mode,
             "transport": result.transport,
             "message_counts": (
@@ -818,6 +834,18 @@ class NetNode:
                 else 0
             ),
             "epochs_seen": result.epochs_seen,
+            # Protocol state left after compaction (bounded by the
+            # in-flight window, not by the run length).
+            "state": (
+                {
+                    "t_base": self.proc._t_base,
+                    "t_list": len(self.proc.t_list),
+                    "started": len(self.proc.started),
+                    "acks": len(self.proc.acks),
+                }
+                if self.proc is not None
+                else {}
+            ),
             "backend": "net",
         }
         (self.rundir / f"summary-{self.pid}.json").write_text(

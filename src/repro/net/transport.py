@@ -21,10 +21,18 @@ Reliability model:
   peer costs one pending connect attempt per backoff interval and
   nothing else.
 
-The first frame on every connection is a ``hello`` identifying the
-dialing node; all subsequent frames on that connection are attributed
-to that pid. Incoming connections are read-only (responses travel on
-the receiver's own outgoing connection).
+The first frame on every connection is a ``HELLO`` identifying the
+dialing node (and its wire version); all subsequent frames on that
+connection are attributed to that pid. Incoming connections are
+read-only (responses travel on the receiver's own outgoing connection).
+The transport tracks the writers of its accepted connections and closes
+them in :meth:`Transport.close`, so a closed node resets its peers'
+links the way a killed OS process would.
+
+Each transport owns its node's multicast :class:`~repro.net.codec.InternTable`
+(``Transport.intern``): every accepted connection decodes through it and
+the host facade encodes through it, so a payload is encoded once and
+decoded once per node (see :mod:`repro.net.codec`).
 
 Write coalescing (the throughput path): with ``coalesce`` on, outgoing
 frames are *staged* in a per-peer byte buffer instead of being handed
@@ -50,11 +58,18 @@ the submission edge, not the wire.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from collections import deque
 
-from .codec import FrameDecoder, encode_frame
+from .codec import (
+    FRAME_HELLO,
+    CodecError,
+    Frame,
+    FrameDecoder,
+    InternTable,
+    encode_hello_frame,
+)
 
 #: Reconnect backoff: first retry after BACKOFF_BASE_S, doubling per
 #: failure up to BACKOFF_CAP_S.
@@ -70,8 +85,9 @@ COALESCE_MAX_BYTES = 64 * 1024
 #: across all peers) above which ``overloaded()`` reports True.
 MAX_QUEUE_BYTES = 4 * 1024 * 1024
 
-#: Callback invoked for every decoded frame: ``on_frame(src_pid, obj)``.
-FrameHandler = Callable[[int, Dict[str, Any]], None]
+#: Callback invoked for every decoded frame after the hello:
+#: ``on_frame(src_pid, frame)``.
+FrameHandler = Callable[[int, Frame], None]
 
 #: Substrate probe: ``probe(event, data)`` (see Runtime.probe).
 ProbeFn = Callable[[str, Any], None]
@@ -107,6 +123,7 @@ class PeerConnection:
         self.queued_bytes = 0
         self.connects = 0
         self.reconnects = 0
+        self.connect_failures = 0
 
     def start(self) -> None:
         self._task = asyncio.get_running_loop().create_task(self._run())
@@ -127,12 +144,13 @@ class PeerConnection:
             try:
                 reader, writer = await asyncio.open_connection(self.host, self.port)
             except OSError:
+                self.connect_failures += 1
                 self._probe("connect_failed", self.peer_pid)
                 await self._sleep(backoff)
                 backoff = min(backoff * 2.0, BACKOFF_CAP_S)
                 continue
             try:
-                writer.write(encode_frame({"t": "hello", "pid": self.own_pid}))
+                writer.write(encode_hello_frame(self.own_pid))
                 await writer.drain()
             except (ConnectionError, OSError):
                 writer.close()
@@ -251,6 +269,11 @@ class Transport:
         self.overload_events = 0
         self._over = False
         self._server: Optional[asyncio.base_events.Server] = None
+        #: Writers of the accepted (incoming) connections, closed with
+        #: the transport: ``asyncio.Server.close()`` leaves them open.
+        self._accepted: Set[asyncio.StreamWriter] = set()
+        #: This node's multicast intern table (never shared).
+        self.intern = InternTable()
         self.frames_received = 0
 
     # -- lifecycle -------------------------------------------------------
@@ -258,7 +281,7 @@ class Transport:
     async def start(self) -> None:
         """Bind the listening socket and start every peer dialer.
 
-        Dialers begin immediately so ``send_frame`` can *queue* from the
+        Dialers begin immediately so ``send_frame_bytes`` can *queue* from the
         moment the node is up — an incoming frame may trigger replies
         before our own outgoing links are established (peers finish
         their barriers at different times), and those replies must park
@@ -281,12 +304,17 @@ class Transport:
             await asyncio.wait_for(asyncio.gather(*waiters), timeout=timeout_s)
 
     async def flush(self, timeout_s: float = 2.0) -> bool:
-        """Best-effort: wait until every peer's queue drained (True) or
-        the timeout passed (False — e.g. a dead peer's queue)."""
+        """Best-effort: wait until the queue of every peer whose link is
+        up has drained (True) or the timeout passed (False). A peer
+        whose link is down is not waited for: its queue can only drain
+        after a reconnect."""
         self._flush_pending()
         deadline = asyncio.get_running_loop().time() + timeout_s
         while True:
-            if all(conn.queued() == 0 for conn in self.peers.values()):
+            if all(
+                conn.queued() == 0 or not conn.connected.is_set()
+                for conn in self.peers.values()
+            ):
                 return True
             if asyncio.get_running_loop().time() >= deadline:
                 return False
@@ -298,18 +326,11 @@ class Transport:
             await conn.close()
         if self._server is not None:
             self._server.close()
+            for writer in list(self._accepted):
+                writer.close()
             await self._server.wait_closed()
 
     # -- sending ---------------------------------------------------------
-
-    def send_frame(self, dst: int, obj: Dict[str, Any]) -> None:
-        """Encode and queue one frame for ``dst`` (event-loop context)."""
-        if dst == self.pid:
-            # Self-frames never touch a socket (the host facade delivers
-            # locally before reaching here; this is a safety net).
-            self.on_frame(self.pid, obj)
-            return
-        self.send_frame_bytes(dst, encode_frame(obj))
 
     def send_frame_bytes(self, dst: int, data: bytes) -> None:
         """Queue a pre-encoded frame (fan-out encodes once per frame).
@@ -371,8 +392,9 @@ class Transport:
     async def _accept(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        decoder = FrameDecoder()
+        decoder = FrameDecoder(self.intern)
         src: Optional[int] = None
+        self._accepted.add(writer)
         try:
             while True:
                 data = await reader.read(65536)
@@ -380,13 +402,16 @@ class Transport:
                     break
                 for frame in decoder.feed(data):
                     if src is None:
-                        if frame.get("t") != "hello":
+                        if frame[0] != FRAME_HELLO:
                             return  # protocol violation; drop connection
-                        src = int(frame["pid"])
+                        src = frame[1]
                         self.probe("peer_hello", src)
                         continue
                     self.frames_received += 1
                     self.on_frame(src, frame)
+        except CodecError as exc:
+            # Malformed bytes or a wire-version mismatch: drop the link.
+            self.probe("codec_error", str(exc))
         except (ConnectionError, OSError):
             pass
         except asyncio.CancelledError:
@@ -394,6 +419,7 @@ class Transport:
             # nothing to salvage on this connection.
             pass
         finally:
+            self._accepted.discard(writer)
             writer.close()
 
     # -- stats -----------------------------------------------------------
@@ -409,6 +435,9 @@ class Transport:
             "coalesce_ratio": (frames_sent / writes) if writes else 0.0,
             "connects": sum(c.connects for c in self.peers.values()),
             "reconnects": sum(c.reconnects for c in self.peers.values()),
+            "connect_failed": sum(c.connect_failures for c in self.peers.values()),
+            "intern_hits": self.intern.hits,
+            "intern_misses": self.intern.misses,
             "queued": sum(c.queued() for c in self.peers.values()),
             "overload_events": self.overload_events,
         }
