@@ -515,6 +515,7 @@ class NetNode:
             on_frame=self._on_frame,
             probe=runtime.probe,
             coalesce=topo.coalesce,
+            on_peer_down=self._on_peer_down,
         )
         facade.bind(transport)
         self._log_fh = open(self.rundir / f"delivery-{self.pid}.jsonl", "w")
@@ -540,6 +541,9 @@ class NetNode:
         proc.omega = omega
         omega.subscribe(proc._on_omega_output)
         omega.start()
+        # Crash evidence gathered while the links came up counts too.
+        for pid in sorted(transport.down):
+            self._on_peer_down(pid)
         self._compaction = sched.call_after(
             DEFAULT_COMPACTION_INTERVAL_MS, self._compact
         )
@@ -578,6 +582,13 @@ class NetNode:
         elif kind == FRAME_HB:
             if self.omega is not None:
                 self.omega.heard_from(pid)
+
+    def _on_peer_down(self, pid: int) -> None:
+        """Transport evidence that ``pid`` crashed: Ω takes it in
+        scheduler context, like every other stimulus (a dead scheduler
+        drops it)."""
+        if self.omega is not None and self.runtime is not None:
+            self.runtime.net_scheduler.call_after(0.0, self.omega.link_lost, pid)
 
     def _compact(self) -> None:
         """State-GC tick: the net counterpart of the simulator's
@@ -764,7 +775,8 @@ class NetNode:
     async def kill(self) -> None:
         """Silence this node completely: the in-process stand-in for
         SIGKILL. The scheduler is marked dead (no callback ever runs
-        again), the oracle stops, and all sockets close."""
+        again), the oracle stops, and all sockets close — the listener
+        first, so the peers' confirm-dials are refused."""
         if self.omega is not None:
             self.omega.stop()
         if self.runtime is not None:
@@ -834,6 +846,8 @@ class NetNode:
                 else 0
             ),
             "epochs_seen": result.epochs_seen,
+            # Ω suspicions by cause: transport link loss vs timeout.
+            "suspicions": dict(self.omega.suspicions) if self.omega is not None else {},
             # Protocol state left after compaction (bounded by the
             # in-flight window, not by the run length).
             "state": (

@@ -27,7 +27,20 @@ connection are attributed to that pid. Incoming connections are
 read-only (responses travel on the receiver's own outgoing connection).
 The transport tracks the writers of its accepted connections and closes
 them in :meth:`Transport.close`, so a closed node resets its peers'
-links the way a killed OS process would.
+links the way a killed OS process would. ``close()`` shuts the listener
+and the accepted connections *before* the outgoing links: everything
+goes at once, as on SIGKILL, and no peer can reach a dying node's
+listener.
+
+Crash evidence: when an inbound link from an identified peer ends (EOF
+or reset) while the transport is open, the transport dials that peer's
+listening address once, at once. A *refused* dial means nothing listens
+there any more: the peer is reported down through ``on_peer_down`` (the
+node hands it to its failure detector). A dial that connects is closed
+again and reported as nothing — a reset between live peers, which the
+peer's own dialer repairs. Any other dial failure reports nothing
+either; a silent failure (host crash, partition) is left to the
+heartbeat timeout.
 
 Each transport owns its node's multicast :class:`~repro.net.codec.InternTable`
 (``Transport.intern``): every accepted connection decodes through it and
@@ -47,7 +60,8 @@ grouping*, never order: per-``(src, dst)`` FIFO is preserved because
 staging is strictly FIFO per peer.
 
 Backpressure: each peer connection tracks its queued (staged + unsent)
-bytes. When the total crosses ``max_queue_bytes`` the transport reports
+bytes. When the total over the peers whose link is up crosses
+``max_queue_bytes`` the transport reports
 :meth:`Transport.overloaded`; open-loop drivers poll it to defer
 submissions instead of growing the queue without bound. Frames are
 never dropped — the rmcast layer has retransmit-on-reconnect but no
@@ -85,9 +99,17 @@ COALESCE_MAX_BYTES = 64 * 1024
 #: across all peers) above which ``overloaded()`` reports True.
 MAX_QUEUE_BYTES = 4 * 1024 * 1024
 
+#: Upper bound on one confirm-dial (loopback refuses at once; a dial
+#: that hangs proves nothing and is abandoned).
+CONFIRM_TIMEOUT_S = 1.0
+
 #: Callback invoked for every decoded frame after the hello:
 #: ``on_frame(src_pid, frame)``.
 FrameHandler = Callable[[int, Frame], None]
+
+#: Callback invoked with the pid of a peer whose listener refused a
+#: confirm-dial (crash evidence): ``on_peer_down(pid)``.
+PeerDownHandler = Callable[[int], None]
 
 #: Substrate probe: ``probe(event, data)`` (see Runtime.probe).
 ProbeFn = Callable[[str, Any], None]
@@ -240,9 +262,11 @@ class Transport:
             PR-9 one-write-per-frame behaviour.
         coalesce_max_bytes: flush a peer's staged buffer immediately
             once it crosses this size.
-        max_queue_bytes: total queued-bytes threshold above which
-            :meth:`overloaded` reports True (backpressure signal; no
-            frame is ever dropped).
+        max_queue_bytes: queued-bytes threshold, over the peers whose
+            link is up, above which :meth:`overloaded` reports True
+            (backpressure signal; no frame is ever dropped).
+        on_peer_down: called (event-loop context) with the pid of a peer
+            whose listener refused a confirm-dial.
     """
 
     def __init__(
@@ -254,6 +278,7 @@ class Transport:
         coalesce: bool = True,
         coalesce_max_bytes: int = COALESCE_MAX_BYTES,
         max_queue_bytes: int = MAX_QUEUE_BYTES,
+        on_peer_down: Optional[PeerDownHandler] = None,
     ) -> None:
         self.pid = pid
         self.addresses = dict(addresses)
@@ -262,6 +287,7 @@ class Transport:
         self.coalesce = coalesce
         self.coalesce_max_bytes = coalesce_max_bytes
         self.max_queue_bytes = max_queue_bytes
+        self.on_peer_down = on_peer_down
         self.peers: Dict[int, PeerConnection] = {}
         self._pending: Dict[int, bytearray] = {}
         self._pending_frames: Dict[int, int] = {}
@@ -272,6 +298,15 @@ class Transport:
         #: Writers of the accepted (incoming) connections, closed with
         #: the transport: ``asyncio.Server.close()`` leaves them open.
         self._accepted: Set[asyncio.StreamWriter] = set()
+        #: In-flight confirm-dials, cancelled by close().
+        self._confirms: Set["asyncio.Task[None]"] = set()
+        self._closed = False
+        #: Peers whose confirm-dial was refused and who have not said
+        #: hello since; ``_reported`` wakes a waiting connect_all.
+        self.down: Set[int] = set()
+        self._reported = asyncio.Event()
+        #: Peer-down reports made (confirm-dial refused).
+        self.peers_down = 0
         #: This node's multicast intern table (never shared).
         self.intern = InternTable()
         self.frames_received = 0
@@ -297,11 +332,33 @@ class Transport:
             conn.start()
 
     async def connect_all(self, timeout_s: float = 30.0) -> None:
-        """Wait until every outgoing link is up (dialing started in
-        :meth:`start`; reconnect loops keep retrying underneath)."""
-        waiters = [conn.connected.wait() for conn in self.peers.values()]
-        if waiters:
-            await asyncio.wait_for(asyncio.gather(*waiters), timeout=timeout_s)
+        """Wait until every outgoing link is up or its peer has been
+        reported down (dialing started in :meth:`start`; reconnect loops
+        keep retrying underneath). A peer killed before our dialer
+        reached it must not hold this node up."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout_s
+        while True:
+            waiters = [
+                asyncio.ensure_future(conn.connected.wait())
+                for pid, conn in self.peers.items()
+                if not conn.connected.is_set() and pid not in self.down
+            ]
+            if not waiters:
+                return
+            self._reported.clear()
+            waiters.append(asyncio.ensure_future(self._reported.wait()))
+            try:
+                done, _ = await asyncio.wait(
+                    waiters,
+                    timeout=deadline - loop.time(),
+                    return_when=asyncio.FIRST_COMPLETED,
+                )
+            finally:
+                for waiter in waiters:
+                    waiter.cancel()
+            if not done:
+                raise asyncio.TimeoutError("peers not connected in time")
 
     async def flush(self, timeout_s: float = 2.0) -> bool:
         """Best-effort: wait until the queue of every peer whose link is
@@ -321,13 +378,20 @@ class Transport:
             await asyncio.sleep(0.01)
 
     async def close(self) -> None:
+        """Close the listener and the accepted connections first, then
+        the outgoing links (after their queues drain). A peer that sees
+        our outgoing link end and dials back is refused."""
+        self._closed = True
         self._flush_pending()
-        for conn in self.peers.values():
-            await conn.close()
         if self._server is not None:
             self._server.close()
             for writer in list(self._accepted):
                 writer.close()
+        for task in list(self._confirms):
+            task.cancel()
+        for conn in self.peers.values():
+            await conn.close()
+        if self._server is not None:
             await self._server.wait_closed()
 
     # -- sending ---------------------------------------------------------
@@ -377,13 +441,21 @@ class Transport:
         return pending + sum(c.queued_bytes for c in self.peers.values())
 
     def overloaded(self) -> bool:
-        """True while queued bytes exceed ``max_queue_bytes``. Open-loop
-        drivers poll this to defer submissions (frames themselves are
-        never dropped)."""
-        over = self.queued_bytes() > self.max_queue_bytes
+        """True while the bytes queued for peers whose link is up exceed
+        ``max_queue_bytes``. Open-loop drivers poll this to defer
+        submissions (frames themselves are never dropped). A down peer's
+        queue is kept for retransmit but not counted: it cannot drain
+        before a reconnect, so counting it would defer submissions for
+        as long as the peer stays dead."""
+        queued = 0
+        for dst, conn in self.peers.items():
+            if conn.connected.is_set():
+                buf = self._pending.get(dst)
+                queued += conn.queued_bytes + (len(buf) if buf else 0)
+        over = queued > self.max_queue_bytes
         if over and not self._over:
             self.overload_events += 1
-            self.probe("overloaded", self.queued_bytes())
+            self.probe("overloaded", queued)
         self._over = over
         return over
 
@@ -394,17 +466,20 @@ class Transport:
     ) -> None:
         decoder = FrameDecoder(self.intern)
         src: Optional[int] = None
+        ended = False  # EOF or reset, as opposed to a dropped bad link
         self._accepted.add(writer)
         try:
             while True:
                 data = await reader.read(65536)
                 if not data:
+                    ended = True
                     break
                 for frame in decoder.feed(data):
                     if src is None:
                         if frame[0] != FRAME_HELLO:
                             return  # protocol violation; drop connection
                         src = frame[1]
+                        self.down.discard(src)
                         self.probe("peer_hello", src)
                         continue
                     self.frames_received += 1
@@ -413,7 +488,7 @@ class Transport:
             # Malformed bytes or a wire-version mismatch: drop the link.
             self.probe("codec_error", str(exc))
         except (ConnectionError, OSError):
-            pass
+            ended = True
         except asyncio.CancelledError:
             # Loop teardown (node shutdown) cancels in-flight reads;
             # nothing to salvage on this connection.
@@ -421,6 +496,31 @@ class Transport:
         finally:
             self._accepted.discard(writer)
             writer.close()
+        if ended and src is not None and not self._closed:
+            task = asyncio.get_running_loop().create_task(self._confirm(src))
+            self._confirms.add(task)
+            task.add_done_callback(self._confirms.discard)
+
+    async def _confirm(self, pid: int) -> None:
+        """Dial ``pid``'s listener once, to tell a crash from a reset
+        between live peers (see the module docstring)."""
+        host, port = self.addresses[pid]
+        try:
+            _, writer = await asyncio.wait_for(
+                asyncio.open_connection(host, port), timeout=CONFIRM_TIMEOUT_S
+            )
+        except ConnectionRefusedError:
+            self.peers_down += 1
+            self.down.add(pid)
+            self._reported.set()
+            self.probe("peer_down", pid)
+            if self.on_peer_down is not None:
+                self.on_peer_down(pid)
+            return
+        except (OSError, asyncio.TimeoutError):
+            return  # no evidence either way; the heartbeat timeout decides
+        writer.close()
+        self.probe("peer_alive", pid)
 
     # -- stats -----------------------------------------------------------
 
@@ -440,4 +540,5 @@ class Transport:
             "intern_misses": self.intern.misses,
             "queued": sum(c.queued() for c in self.peers.values()),
             "overload_events": self.overload_events,
+            "peer_down": self.peers_down,
         }

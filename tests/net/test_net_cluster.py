@@ -11,10 +11,12 @@ of exactly this workload runs in CI's ``net-smoke`` job via
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
 from repro.net.cluster import ClusterSpec, make_topology, run_cluster_inprocess
+from repro.net.host import NetNode
 from repro.net.differential import (
     diff_cluster_result,
     run_sim_reference,
@@ -100,7 +102,94 @@ def test_asyncio_cluster_survives_killed_leader(tmp_path):
     assert sum(s["reconnects"] + s["connect_failed"] for s in links) > 0, links
 
 
-def test_asyncio_cluster_binary_codec_matches_sim_reference(tmp_path):
+def _record_epoch_changes(monkeypatch) -> list:
+    """Record ``(pid, monotonic time)`` of every epoch change a node
+    starts (the loop clock is ``time.monotonic``)."""
+    starts: list = []
+    real_on_probe = NetNode._on_probe
+
+    def on_probe(self, proc, event, data):
+        if event == "epoch_change":
+            starts.append((self.pid, time.monotonic()))
+        real_on_probe(self, proc, event, data)
+
+    monkeypatch.setattr(NetNode, "_on_probe", on_probe)
+    return starts
+
+
+def test_killed_leader_is_replaced_at_socket_speed(tmp_path, monkeypatch):
+    # The kill closes the leader's sockets; its peers' confirm-dials
+    # are refused and Ω re-elects at once, long before the 500 ms
+    # suspicion timeout.
+    starts = _record_epoch_changes(monkeypatch)
+    kills: list = []
+    real_kill = NetNode.kill
+
+    async def kill(self):
+        if not kills:
+            # Kill only once the victim's links are up and its peers
+            # have read its hello: a node killed while still dialing
+            # leaves no link behind to end; only the timeout finds it.
+            await self._transport.connect_all()
+            await asyncio.sleep(0.05)
+            kills.append(time.monotonic())
+        await real_kill(self)
+
+    monkeypatch.setattr(NetNode, "kill", kill)
+    spec = ClusterSpec(
+        n_groups=2, group_size=3, n_messages=8, seed=5,
+        kill_pid=3, kill_after=2, suspect_ms=500.0,
+    )
+    result = _run(spec, tmp_path, kill_pid=3, kill_after=2)
+    assert diff_cluster_result(result) == []
+    after = [t - kills[0] for pid, t in starts if pid != 3 and t >= kills[0]]
+    assert after and min(after) < 0.25, (kills, starts)
+    suspicions = [
+        result.outcomes[pid].summary["suspicions"] for pid in result.survivors
+        if result.topology.make_config().group_of[pid] == 1
+    ]
+    assert all(s["link"] == 1 for s in suspicions), suspicions
+
+
+def test_frozen_leader_is_replaced_through_the_heartbeat_timeout(tmp_path, monkeypatch):
+    # A hung process leaves its sockets open, so no dial is refused:
+    # the heartbeat timeout alone must replace it. The "kill" here
+    # freezes the node (dead scheduler, stopped oracle) and only closes
+    # its sockets at teardown, after the survivors have finished.
+    starts = _record_epoch_changes(monkeypatch)
+    frozen: list = []
+    real_kill = NetNode.kill
+
+    async def freeze(self):
+        if self in frozen:  # teardown
+            await real_kill(self)
+            return
+        frozen.append(self)
+        self.omega.stop()
+        self.runtime.net_scheduler.dead = True
+
+    monkeypatch.setattr(NetNode, "kill", freeze)
+    spec = ClusterSpec(
+        n_groups=2, group_size=3, n_messages=8, seed=5,
+        kill_pid=3, kill_after=2, suspect_ms=300.0,
+    )
+    result = _run(spec, tmp_path, kill_pid=3, kill_after=2)
+    config = result.topology.make_config()
+    workload = result.topology.workload()
+    for pid in result.survivors:
+        outcome = result.outcomes[pid]
+        assert outcome.exit_code == 0, (pid, outcome.exit_code)
+        assert len(outcome.delivered) == expected_count(workload, config.group_of[pid])
+    assert diff_cluster_result(result) == []
+    assert any(pid != 3 for pid, _ in starts), starts
+    suspicions = [
+        result.outcomes[pid].summary["suspicions"] for pid in result.survivors
+        if config.group_of[pid] == 1
+    ]
+    assert all(s["link"] == 0 and s["timeout"] >= 1 for s in suspicions), suspicions
+
+
+def test_asyncio_cluster_uncoalesced_matches_sim_reference(tmp_path):
     # The exact sequential differential must also hold with one socket
     # write per frame: write grouping is transport plumbing, invisible
     # to the protocol.
